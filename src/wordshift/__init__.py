@@ -13,14 +13,14 @@ from .automata import (EPSILON, Dfa, Nfa, accepted_words, co_reachable,
                        pair_alphabet, product, relabel, shortest_word,
                        with_alphabet_order)
 from .langops import cyc, distinct_conjugate_completions, lexleast
-from .outcome import DecisionOutcome
+from .outcome import DecisionOutcome, WitnessError
 from .procedures import (QuoEnumeration, accepts_distinct_conjugates,
                          accepts_long_shift, accepts_non_conjugates,
                          accepts_power_search, base_k_value,
                          long_witness_language, quo_enumerate)
 from .reductions import (Morphism, PowerInstance, ShiftInstance,
                          binary_morphism, binary_one_step_language,
-                         block_morphism, diagonal_pairs, general_shift_restrict,
+                         block_morphism, general_shift_restrict,
                          one_step_language, recode_binary, rewrite_to_shift,
                          shift_search, shift_search_at, shift_to_power)
 from .rewriting import (RewritingSystem, TmRun, TuringMachine, one_step,
@@ -35,12 +35,12 @@ __all__ = [
     "determinize", "is_empty", "is_subset", "minimize", "pair_alphabet",
     "product", "relabel", "shortest_word", "with_alphabet_order",
     "cyc", "distinct_conjugate_completions", "lexleast",
-    "DecisionOutcome",
+    "DecisionOutcome", "WitnessError",
     "QuoEnumeration", "accepts_distinct_conjugates", "accepts_long_shift",
     "accepts_non_conjugates", "accepts_power_search", "base_k_value",
     "long_witness_language", "quo_enumerate",
     "Morphism", "PowerInstance", "ShiftInstance", "binary_morphism",
-    "binary_one_step_language", "block_morphism", "diagonal_pairs",
+    "binary_one_step_language", "block_morphism",
     "general_shift_restrict", "one_step_language", "recode_binary",
     "rewrite_to_shift", "shift_search", "shift_search_at", "shift_to_power",
     "RewritingSystem", "TmRun", "TuringMachine", "one_step",

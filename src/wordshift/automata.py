@@ -68,20 +68,18 @@ class Nfa:
 
     ``transitions`` is a set of ``(state, label, state)`` triples where a
     label is an alphabet symbol or :data:`EPSILON`.  State ids are opaque
-    integers; any provenance (subset contents, pair labels) lives in ``meta``
-    and never affects the language.
+    integers.
     """
 
     __slots__ = ("alphabet", "states", "start", "finals", "transitions",
-                 "meta", "_moves", "_eps", "_start_closure", "_index")
+                 "_moves", "_eps", "_start_closure", "_index")
 
-    def __init__(self, alphabet, states, start, finals, transitions, meta=None):
+    def __init__(self, alphabet, states, start, finals, transitions):
         self.alphabet = _check_alphabet(alphabet)
         self.states = frozenset(states)
         self.start = frozenset(start)
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
-        self.meta = meta
         if not all(isinstance(q, int) for q in self.states):
             raise ValueError("state ids must be integers")
         if not self.start <= self.states:
@@ -134,9 +132,6 @@ class Nfa:
                 return False
         return bool(current & self.finals)
 
-    def symbol_index(self, symbol: Symbol) -> int:
-        return self._index[symbol]
-
     def __repr__(self):
         return (f"Nfa(states={len(self.states)}, alphabet={len(self.alphabet)}, "
                 f"finals={len(self.finals)})")
@@ -149,15 +144,14 @@ class Dfa:
     what makes :func:`complement` a plain final-flip.
     """
 
-    __slots__ = ("alphabet", "states", "start", "finals", "delta", "meta", "_index")
+    __slots__ = ("alphabet", "states", "start", "finals", "delta", "_index")
 
-    def __init__(self, alphabet, states, start, finals, delta, meta=None):
+    def __init__(self, alphabet, states, start, finals, delta):
         self.alphabet = _check_alphabet(alphabet)
         self.states = frozenset(states)
         self.start = start
         self.finals = frozenset(finals)
         self.delta = dict(delta)
-        self.meta = meta
         if not all(isinstance(q, int) for q in self.states):
             raise ValueError("state ids must be integers")
         if start not in self.states:
@@ -186,9 +180,6 @@ class Dfa:
                 raise ValueError(f"symbol {symbol!r} not in alphabet")
         return self.run(self.start, word) in self.finals
 
-    def symbol_index(self, symbol: Symbol) -> int:
-        return self._index[symbol]
-
     def to_nfa(self) -> Nfa:
         transitions = {(q, s, r) for (q, s), r in self.delta.items()}
         return Nfa(self.alphabet, self.states, {self.start}, self.finals, transitions)
@@ -198,30 +189,36 @@ class Dfa:
                 f"finals={len(self.finals)})")
 
 
-def determinize(n: Nfa) -> Dfa:
-    """Subset construction; reachable subsets only, complete via the empty sink.
+def _explore(starts, successors):
+    """Number keys breadth-first from ``starts``, in discovery order.
 
-    Subset contents are kept in ``meta['origin']`` for debugging; they are
-    never consulted by any operation.
+    ``successors(key)`` gives the ``(label, key)`` pairs leaving a key, in
+    alphabet order.
+    Returns ``(order, delta)``: ``order[i]`` is the key with id ``i`` and
+    ``delta[(i, label)]`` the id its ``label`` edge leads to.  Every
+    construction numbers its states through here, which is what makes an
+    emitted automaton depend only on its inputs.
     """
-    start = n._start_closure
-    ids: dict = {start: 0}
-    order = [start]
+    order = list(starts)
+    ids = {key: i for i, key in enumerate(order)}
     delta = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = ids[subset]
-        for symbol in n.alphabet:
-            nxt = n.step(subset, symbol)
-            if nxt not in ids:
-                ids[nxt] = len(order)
+    for i, key in enumerate(order):  # order doubles as the queue
+        for label, nxt in successors(key):
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(order)
                 order.append(nxt)
-                queue.append(nxt)
-            delta[(src, symbol)] = ids[nxt]
-    finals = {ids[sub] for sub in order if sub & n.finals}
-    return Dfa(n.alphabet, range(len(order)), 0, finals, delta,
-               meta={"origin": {i: sub for i, sub in enumerate(order)}})
+            delta[(i, label)] = j
+    return order, delta
+
+
+def determinize(n: Nfa) -> Dfa:
+    """Subset construction; reachable subsets only, complete via the empty sink."""
+    order, delta = _explore(
+        [n._start_closure],
+        lambda subset: [(symbol, n.step(subset, symbol)) for symbol in n.alphabet])
+    finals = {i for i, subset in enumerate(order) if subset & n.finals}
+    return Dfa(n.alphabet, range(len(order)), 0, finals, delta)
 
 
 _MODES = {
@@ -238,24 +235,13 @@ def product(a: Dfa, b: Dfa, mode: str) -> Dfa:
     if a.alphabet != b.alphabet:
         raise ValueError(f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
     combine = _MODES[mode]
-    start = (a.start, b.start)
-    ids = {start: 0}
-    order = [start]
-    delta = {}
-    queue = deque([start])
-    while queue:
-        (qa, qb) = queue.popleft()
-        src = ids[(qa, qb)]
-        for symbol in a.alphabet:
-            nxt = (a.delta[(qa, symbol)], b.delta[(qb, symbol)])
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            delta[(src, symbol)] = ids[nxt]
-    finals = {ids[p] for p in order if combine(p[0] in a.finals, p[1] in b.finals)}
-    return Dfa(a.alphabet, range(len(order)), 0, finals, delta,
-               meta={"origin": {i: p for i, p in enumerate(order)}})
+    order, delta = _explore(
+        [(a.start, b.start)],
+        lambda pair: [(s, (a.delta[(pair[0], s)], b.delta[(pair[1], s)]))
+                      for s in a.alphabet])
+    finals = {i for i, (qa, qb) in enumerate(order)
+              if combine(qa in a.finals, qb in b.finals)}
+    return Dfa(a.alphabet, range(len(order)), 0, finals, delta)
 
 
 def complement(a: Dfa) -> Dfa:
@@ -329,15 +315,8 @@ def minimize(d: Dfa) -> Dfa:
     Moore partition refinement.  Never required for correctness anywhere in
     this package; useful to compare construction sizes.
     """
-    reach = {d.start}
-    queue = deque([d.start])
-    while queue:
-        q = queue.popleft()
-        for symbol in d.alphabet:
-            r = d.delta[(q, symbol)]
-            if r not in reach:
-                reach.add(r)
-                queue.append(r)
+    reach, _ = _explore([d.start],
+                        lambda q: [(s, d.delta[(q, s)]) for s in d.alphabet])
     block = {q: (q in d.finals) for q in reach}
     while True:
         signature = {
@@ -351,23 +330,14 @@ def minimize(d: Dfa) -> Dfa:
         if new_block == block:
             break
         block = new_block
-    # Renumber blocks in BFS order from the start block for stable output.
-    ids = {block[d.start]: 0}
-    order = [d.start]
-    delta = {}
-    queue = deque([d.start])
-    while queue:
-        q = queue.popleft()
-        src = ids[block[q]]
-        for symbol in d.alphabet:
-            r = d.delta[(q, symbol)]
-            if block[r] not in ids:
-                ids[block[r]] = len(ids)
-                order.append(r)
-                queue.append(r)
-            delta[(src, symbol)] = ids[block[r]]
-    finals = {ids[block[q]] for q in reach if q in d.finals}
-    return Dfa(d.alphabet, range(len(ids)), 0, finals, delta)
+    # Any member of a block stands for it: equivalent states step to
+    # equivalent states.
+    member = {block[q]: q for q in reach}
+    order, delta = _explore(
+        [block[d.start]],
+        lambda b: [(s, block[d.delta[(member[b], s)]]) for s in d.alphabet])
+    finals = {i for i, b in enumerate(order) if member[b] in d.finals}
+    return Dfa(d.alphabet, range(len(order)), 0, finals, delta)
 
 
 def co_reachable(a) -> frozenset:
@@ -443,5 +413,5 @@ def with_alphabet_order(a, order):
     if set(order) != set(a.alphabet) or len(order) != len(a.alphabet):
         raise ValueError(f"order {order!r} is not a permutation of {a.alphabet!r}")
     if isinstance(a, Dfa):
-        return Dfa(order, a.states, a.start, a.finals, a.delta, meta=a.meta)
-    return Nfa(order, a.states, a.start, a.finals, a.transitions, meta=a.meta)
+        return Dfa(order, a.states, a.start, a.finals, a.delta)
+    return Nfa(order, a.states, a.start, a.finals, a.transitions)

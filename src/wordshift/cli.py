@@ -11,16 +11,18 @@ its bound, 1 for usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import langops, procedures, reductions, rewriting
-from .automata import determinize, is_subset, with_alphabet_order
+from .automata import (complement, determinize, is_subset, product,
+                       with_alphabet_order)
 from .formats import (ParseError, format_automaton, format_rewriting,
                       format_word, parse_automaton, parse_rewriting, parse_tm,
                       parse_word)
-from .outcome import DecisionOutcome
+from .outcome import DecisionOutcome, unknown, yes
 
 
 class UsageError(Exception):
@@ -109,6 +111,11 @@ def _rewrite_power_job(args):
 
 
 def _run_rewrite_power(system, a, b, max_n, budget, jobs):
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    # The pool starts every worker at once; more than one per n or per core
+    # only costs memory.
+    jobs = min(jobs, max_n, os.cpu_count() or 1)
     if jobs <= 1:
         return rewriting.rewrite_power_search(system, a, b, max_n, budget)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -118,9 +125,7 @@ def _run_rewrite_power(system, a, b, max_n, budget, jobs):
     # Canonical merge: the smallest yes wins, matching the serial loop.
     for n in range(1, max_n + 1):
         if results[n].is_yes:
-            from .outcome import yes
             return yes(n=n, **results[n].witness)
-    from .outcome import unknown
     return unknown(bound=max_n)
 
 
@@ -222,8 +227,7 @@ def _dispatch(args) -> int:
         if args.op == "product":
             left = _load_dfa(args.left, args.alphabet_order)
             right = _load_dfa(args.right, args.alphabet_order)
-            from .automata import product as dfa_product
-            return _emit_automaton(dfa_product(left, right, args.mode),
+            return _emit_automaton(product(left, right, args.mode),
                                    f"lang product {args.mode}")
         if args.op == "subset":
             left = _load_dfa(args.left, args.alphabet_order)
@@ -241,8 +245,7 @@ def _dispatch(args) -> int:
         if args.op == "cyc":
             return _emit_automaton(langops.cyc(dfa), "lang cyc")
         if args.op == "complement":
-            from .automata import complement as dfa_complement
-            return _emit_automaton(dfa_complement(dfa), "lang complement")
+            return _emit_automaton(complement(dfa), "lang complement")
 
     if args.group == "check":
         if args.op == "long-shift":

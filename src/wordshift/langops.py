@@ -4,9 +4,7 @@ procedure.
 """
 from __future__ import annotations
 
-from collections import deque
-
-from .automata import EPSILON, Dfa, Nfa, Word, complement, product
+from .automata import EPSILON, Dfa, Nfa, Word, _explore, complement, product
 from .words import primitive_root
 
 
@@ -20,33 +18,18 @@ def lexleast(m: Dfa) -> Dfa:
     accept iff q is final and S contains no final state.  Only reachable
     (q, S) pairs are materialized.
     """
-    start = (m.start, frozenset())
-    ids = {start: 0}
-    order = [start]
-    delta = {}
-    queue = deque([start])
-    while queue:
-        q, smaller = queue.popleft()
-        src = ids[(q, smaller)]
-        below = []
+    def successors(key):
+        q, smaller = key
+        stepped = {m.delta[(s, sigma)] for s in smaller for sigma in m.alphabet}
         for symbol in m.alphabet:
-            stepped = frozenset(m.delta[(s, sigma)]
-                                for s in smaller for sigma in m.alphabet) | \
-                frozenset(m.delta[(q, b)] for b in below)
-            nxt = (m.delta[(q, symbol)], stepped)
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            delta[(src, symbol)] = ids[nxt]
-            below.append(symbol)
-    finals = {
-        ids[(q, smaller)]
-        for (q, smaller) in order
-        if q in m.finals and not (smaller & m.finals)
-    }
-    return Dfa(m.alphabet, range(len(order)), 0, finals, delta,
-               meta={"origin": {i: p for i, p in enumerate(order)}})
+            nxt = m.delta[(q, symbol)]
+            yield symbol, (nxt, frozenset(stepped))
+            stepped.add(nxt)
+
+    order, delta = _explore([(m.start, frozenset())], successors)
+    finals = {i for i, (q, smaller) in enumerate(order)
+              if q in m.finals and not smaller & m.finals}
+    return Dfa(m.alphabet, range(len(order)), 0, finals, delta)
 
 
 def cyc(m: Dfa) -> Nfa:
@@ -58,33 +41,19 @@ def cyc(m: Dfa) -> Nfa:
     (pivot, current, phase) triples, reachable ones only.  The empty word is
     accepted exactly when m accepts it.
     """
-    ids = {}
-    order = []
-    transitions = set()
-
-    def intern(state):
-        if state not in ids:
-            ids[state] = len(order)
-            order.append(state)
-            queue.append(state)
-        return ids[state]
-
-    queue = deque()
-    starts = set()
-    for pivot in sorted(m.states):
-        starts.add(intern((pivot, pivot, 1)))
-    while queue:
-        state = queue.popleft()
+    def successors(state):
         pivot, cur, phase = state
-        src = ids[state]
         for symbol in m.alphabet:
-            transitions.add((src, symbol, intern((pivot, m.delta[(cur, symbol)], phase))))
+            yield symbol, (pivot, m.delta[(cur, symbol)], phase)
         if phase == 1 and cur in m.finals:
-            transitions.add((src, EPSILON, intern((pivot, m.start, 2))))
-    finals = {ids[(pivot, cur, phase)] for (pivot, cur, phase) in order
+            yield EPSILON, (pivot, m.start, 2)
+
+    pivots = sorted(m.states)
+    order, delta = _explore([(p, p, 1) for p in pivots], successors)
+    finals = {i for i, (pivot, cur, phase) in enumerate(order)
               if phase == 2 and cur == pivot}
-    return Nfa(m.alphabet, range(len(order)), starts, finals, transitions,
-               meta={"origin": {i: s for i, s in enumerate(order)}})
+    transitions = {(i, label, j) for (i, label), j in delta.items()}
+    return Nfa(m.alphabet, range(len(order)), range(len(pivots)), finals, transitions)
 
 
 def _root_star_dfa(alphabet, root: Word) -> Dfa:

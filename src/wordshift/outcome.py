@@ -48,3 +48,14 @@ def no(note: Optional[str] = None) -> DecisionOutcome:
 
 def unknown(bound: int, note: Optional[str] = None) -> DecisionOutcome:
     return DecisionOutcome("unknown", bound=bound, note=note)
+
+
+class WitnessError(AssertionError):
+    """A witness failed its defining predicate on re-verification: a defect
+    in the procedure that found it, never a property of the input."""
+
+
+def _check_witness(holds: bool, what: str) -> None:
+    # Unlike ``assert``, this still runs under ``python -O``.
+    if not holds:
+        raise WitnessError(what)

@@ -8,14 +8,14 @@ procedures never answer unknown, and the bounded searches never answer no.
 """
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .automata import (Dfa, Nfa, Word, accepted_words, co_reachable,
+from .automata import (Dfa, Nfa, Word, _explore, accepted_words, co_reachable,
                        determinize, minimize, product, shortest_word)
 from .langops import cyc, distinct_conjugate_completions, lexleast
-from .outcome import DecisionOutcome, no, unknown, yes
+from .outcome import (DecisionOutcome, WitnessError, _check_witness, no,
+                      unknown, yes)
 from .reductions import ShiftInstance
 from .regex import alt, lit, plus, regex_assemble, seq
 from .words import are_conjugates, convolve
@@ -35,41 +35,21 @@ def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
     c = inst.c
     cc = (c, c)
     # cc_reach[p] = set of states reachable from p along (c,c) edges.
-    cc_reach = {}
-    for p in d.states:
-        seen = {p}
-        todo = [p]
-        while todo:
-            q = todo.pop()
-            r = d.delta[(q, cc)]
-            if r not in seen:
-                seen.add(r)
-                todo.append(r)
-        cc_reach[p] = frozenset(seen)
+    cc_reach = {p: frozenset(_explore([p], lambda q: [(cc, d.delta[(q, cc)])])[0])
+                for p in d.states}
 
-    ids = {}
-    order = []
-    queue = deque()
-
-    def intern(state):
-        if state not in ids:
-            ids[state] = len(order)
-            order.append(state)
-            queue.append(state)
-        return ids[state]
-
-    starts = {intern((d.start, q, q)) for q in sorted(d.states)}
-    transitions = set()
-    while queue:
-        state = queue.popleft()
+    def successors(state):
         p, pivot, r = state
-        src = ids[state]
         for g in inst.gamma:
-            nxt = (d.delta[(p, (g, c))], pivot, d.delta[(r, (c, g))])
-            transitions.add((src, g, intern(nxt)))
-    finals = {ids[s] for s in order if s[2] in d.finals and s[1] in cc_reach[s[0]]}
-    guesser = Nfa(tuple(inst.gamma), range(len(order)), starts, finals, transitions,
-                  meta={"origin": {i: s for i, s in enumerate(order)}})
+            yield g, (d.delta[(p, (g, c))], pivot, d.delta[(r, (c, g))])
+
+    pivots = sorted(d.states)
+    order, delta = _explore([(d.start, q, q) for q in pivots], successors)
+    finals = {i for i, (p, pivot, r) in enumerate(order)
+              if r in d.finals and pivot in cc_reach[p]}
+    transitions = {(i, g, j) for (i, g), j in delta.items()}
+    guesser = Nfa(inst.gamma, range(len(order)), range(len(pivots)), finals,
+                  transitions)
     x = shortest_word(guesser)
     if x is None:
         return no()
@@ -79,9 +59,8 @@ def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
     for n in range(m, m + len(d.states) + 1):
         word = convolve(x + (c,) * n, (c,) * n + x)
         if inst.automaton.accepts(word):
-            assert n >= m
             return yes(x=x, n=n, word=word)
-    raise AssertionError("guessing automaton accepted x but no padding length works")
+    raise WitnessError("guessing automaton accepted x but no padding length works")
 
 
 def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = 4) -> DecisionOutcome:
@@ -99,15 +78,9 @@ def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = 4) -> Decisio
         raise ValueError(f"machine has {n} states, above state_cap={state_cap}; "
                          "pass state_cap=None to run the full enumeration")
     live = co_reachable(m)
-    reach = [m.start]
-    seen = {m.start}
-    for q in reach:
-        for symbol in m.alphabet:
-            r = m.delta[(q, symbol)]
-            if r not in seen:
-                seen.add(r)
-                reach.append(r)
-    reach = sorted(seen)
+    reach, _ = _explore([m.start],
+                        lambda q: [(s, m.delta[(q, s)]) for s in m.alphabet])
+    reach.sort()
     start_pos = reach.index(m.start)
     level = [((), tuple(reach))]
     for _length in range(1, n * n + 1):
@@ -126,7 +99,8 @@ def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = 4) -> Decisio
             v = shortest_word(completions)
             if v is not None:
                 uv, vu = u + v, v + u
-                assert m.accepts(uv) and m.accepts(vu) and uv != vu
+                _check_witness(m.accepts(uv) and m.accepts(vu) and uv != vu,
+                               "distinct-conjugates witness fails uv, vu accepted, uv != vu")
                 return yes(u=u, v=v, uv=uv, vu=vu)
     return no()
 
@@ -168,8 +142,10 @@ def accepts_non_conjugates(m: Dfa) -> DecisionOutcome:
     if x is None:
         return no()
     y = _least_word_of_length(m, len(x))
-    assert y is not None and m.accepts(x) and m.accepts(y)
-    assert len(x) == len(y) and not are_conjugates(x, y)
+    _check_witness(y is not None and m.accepts(x) and m.accepts(y),
+                   "non-conjugates witness words are not accepted")
+    _check_witness(len(x) == len(y) and not are_conjugates(x, y),
+                   "non-conjugates witness words are conjugates")
     return yes(x=x, y=y)
 
 
@@ -244,7 +220,8 @@ def accepts_power_search(m: Nfa, k: int, max_len: int) -> DecisionOutcome:
             continue
         i = _power_exponent(ratio.numerator, k)
         if i is not None:
-            assert Fraction(p, q) == Fraction(k) ** i
+            _check_witness(Fraction(p, q) == Fraction(k) ** i,
+                           "power witness quotient is not a power of k")
             return yes(i=i, word=word, numerator=p, denominator=q)
     return unknown(bound=max_len)
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .automata import (Atom, Nfa, Word, check_atom, co_reachable, determinize,
-                       is_empty, pair_alphabet, product, relabel)
-from .outcome import DecisionOutcome, unknown, yes
+from .automata import (Atom, Dfa, Nfa, Word, _explore, check_atom, co_reachable,
+                       determinize, is_empty, pair_alphabet, product, relabel)
+from .outcome import DecisionOutcome, _check_witness, unknown, yes
 from .regex import alt, lit, one_of, plus, regex_assemble, seq, star
 from .rewriting import RewritingSystem
 from .words import convolve
@@ -99,11 +99,6 @@ def fresh_atom(taken, prefix: str = "_d") -> Atom:
     while f"{prefix}{i}" in taken:
         i += 1
     return f"{prefix}{i}"
-
-
-def diagonal_pairs(symbols) -> tuple:
-    """The pair symbols (e, e) for each e, in the given order."""
-    return tuple((e, e) for e in symbols)
 
 
 def _one_step_regex(s: RewritingSystem, encode=None):
@@ -221,7 +216,7 @@ def shift_search(inst: ShiftInstance, max_len: int) -> DecisionOutcome:
         return unknown(bound=max_len)
     _, x, n = best
     witness_word = convolve(x + (inst.c,) * n, (inst.c,) * n + x)
-    assert inst.automaton.accepts(witness_word)
+    _check_witness(inst.automaton.accepts(witness_word), "shift witness not accepted")
     return yes(x=x, n=n, word=witness_word)
 
 
@@ -312,19 +307,6 @@ def recode_binary(s: RewritingSystem, a: Atom, b: Atom) -> ShiftInstance:
 def _projection_constraint_dfa(alphabet, gamma, c: Atom):
     # First track must be gamma* c+, second track c+ gamma*; built as one
     # small product of two three-phase machines plus a shared dead state.
-    from .automata import Dfa
-    states = {}
-    order = []
-
-    def intern(p):
-        if p not in states:
-            states[p] = len(order)
-            order.append(p)
-        return states[p]
-
-    dead = intern("dead")
-    start = intern((0, 0))
-    delta = {}
     gamma_set = set(gamma)
 
     def step_first(phase, atom):
@@ -339,23 +321,18 @@ def _projection_constraint_dfa(alphabet, gamma, c: Atom):
             return 1 if atom == c else 2 if atom in gamma_set else None
         return 2 if atom in gamma_set else None
 
-    pending = deque([(0, 0)])
-    seen = {(0, 0)}
-    while pending:
-        p = pending.popleft()
+    def successors(p):
         for (u, v) in alphabet:
-            f = step_first(p[0], u)
-            g = step_second(p[1], v)
-            nxt = "dead" if f is None or g is None else (f, g)
-            if nxt != "dead" and nxt not in seen:
-                seen.add(nxt)
-                pending.append(nxt)
-            delta[(intern(p), (u, v))] = intern(nxt)
-    for (u, v) in alphabet:
-        delta[(dead, (u, v))] = dead
-    finals = {states[p] for p in order
+            if p == "dead":
+                yield (u, v), "dead"
+                continue
+            f, g = step_first(p[0], u), step_second(p[1], v)
+            yield (u, v), "dead" if f is None or g is None else (f, g)
+
+    order, delta = _explore([(0, 0)], successors)
+    finals = {i for i, p in enumerate(order)
               if p != "dead" and p[0] == 1 and p[1] in (1, 2)}
-    return Dfa(alphabet, range(len(order)), start, finals, delta)
+    return Dfa(alphabet, range(len(order)), 0, finals, delta)
 
 
 def general_shift_restrict(inst: ShiftInstance):
@@ -366,7 +343,6 @@ def general_shift_restrict(inst: ShiftInstance):
     is the intersection with the words whose first track lies in gamma* c+
     and whose second track lies in c+ gamma*.
     """
-    from .automata import Dfa
     d = determinize(inst.automaton)
     alphabet = d.alphabet
     gamma_set = set(inst.gamma)

@@ -205,7 +205,7 @@ def test_criterion_7_lexleast_and_cyc():
                 by_len.setdefault(len(word), []).append(word)
             for _length, words in by_len.items():
                 minima.add(min(words,
-                               key=lambda u: [m.symbol_index(s) for s in u]))
+                               key=lambda u: [m.alphabet.index(s) for s in u]))
             assert language(lexleast(m), 8) == minima
 
             closure = set()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -25,6 +26,10 @@ trans: 1 b 2
 trans: 0 b 3
 trans: 3 a 2
 """
+
+LONG_SHIFT = ("alphabet: a|a a|c c|a c|c\n"
+              "states: 0 1 2 3\nstart: 0\nfinals: 3\n"
+              "trans: 0 a|c 1\ntrans: 1 c|c 2\ntrans: 2 c|a 3\n")
 
 
 @pytest.fixture
@@ -182,10 +187,7 @@ def test_shift_pipeline(run):
 
 
 def test_check_long_shift(run):
-    text = ("alphabet: a|a a|c c|a c|c\n"
-            "states: 0 1 2 3\nstart: 0\nfinals: 3\n"
-            "trans: 0 a|c 1\ntrans: 1 c|c 2\ntrans: 2 c|a 3\n")
-    path = run.write("ls.aut", text)
+    path = run.write("ls.aut", LONG_SHIFT)
     code, out, _ = run("check", "long-shift", path)
     assert code == 0
     fields = record(out)
@@ -243,3 +245,66 @@ def test_jobs_flag_matches_serial(run):
     _, parallel, _ = run("search", "rewrite-power", rs_path, "--max-n", "4",
                          "--jobs", "2")
     assert serial == parallel
+
+
+# State ids are breadth-first discovery order with labels in alphabet order;
+# these digests pin that numbering in whole emitted records.
+GOLDEN_SHA256 = {
+    "lang lexleast": "b0e225dcce2f183c242696fa09ca1ef4c659400f221c3cc95929f4f186043591",
+    "lang cyc": "d16cdda9ecbc738a97dd26b5840b64dd43983cf085c831e999f2e94dbb02e5fa",
+    "lang product difference": "7d029f219ff237aaeb5e61756ca678236f06746c50ee8436a085aef322b52f65",
+    "gen lt 2": "97289245c02e1bda0e8e5051d38d79d2334f7caf6798555f252cf2b239f9d079",
+    "reduce restrict-general-shift": "9672e495799d68076632c308ccf63d69cb54e728bcb0a7adf1f94c810857ba3d",
+    "check long-shift": "4ccf9a063014ec15ea0fdb877967865587882f45a6392f1b5fefeb2957932d89",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output(run, command):
+    words = command.split()
+    if words[0] == "lang":
+        path = run.write("m.aut", TWO_WORDS)
+        argv = words + [path] * (2 if words[1] == "product" else 1)
+    elif words[0] == "reduce":
+        _, shift, _ = run("reduce", "rewrite-to-shift", run.write("ab.rs", AB_SYSTEM))
+        argv = words + [run.write("shift.aut", shift)]
+    elif words[0] == "check":
+        argv = words + [run.write("ls.aut", LONG_SHIFT)]
+    else:
+        argv = words
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command], out
+
+
+def test_jobs_clamped_and_rejected(run, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr("wordshift.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    path = run.write("ab.rs", AB_SYSTEM)
+    _, serial, _ = run("search", "rewrite-power", path, "--max-n", "5")
+    code, out, _ = run("search", "rewrite-power", path, "--max-n", "5",
+                       "--jobs", "1000000")
+    assert code == 0 and out == serial
+    run("search", "rewrite-power", path, "--max-n", "2", "--jobs", "1000000")
+    assert sizes == [3, 2]
+    for jobs in ("0", "-4"):
+        code, out, err = run("search", "rewrite-power", path, "--max-n", "5",
+                             "--jobs", jobs)
+        assert code == 1 and out == "" and err.startswith("wordshift:")
+    assert sizes == [3, 2]

@@ -21,7 +21,7 @@ def per_length_minima(m, max_len):
         words = sorted(word for word in all_words(m.alphabet, length)
                        if len(word) == length and m.accepts(word))
         if words:
-            out.add(min(words, key=lambda u: [m.symbol_index(s) for s in u]))
+            out.add(min(words, key=lambda u: [m.alphabet.index(s) for s in u]))
     return out
 
 

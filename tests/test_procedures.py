@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from wordshift.automata import (Nfa, accepted_words, determinize, minimize,
                                 pair_alphabet)
+import wordshift
 from wordshift.outcome import DecisionOutcome
 from wordshift.procedures import (accepts_distinct_conjugates,
                                   accepts_long_shift, accepts_non_conjugates,
@@ -261,3 +265,27 @@ def test_outcome_validation():
         DecisionOutcome("unknown")
     with pytest.raises(ValueError, match="verdict"):
         DecisionOutcome("maybe")
+
+
+# A broken conjugacy test makes every non-conjugates witness fail its
+# re-check; the check must still fire with asserts stripped.
+_BROKEN_RECHECK = """
+from wordshift import procedures
+from wordshift.regex import alt, lit, regex_assemble
+from wordshift.automata import determinize
+procedures.are_conjugates = lambda x, y: True
+m = determinize(regex_assemble(alt(lit("aa"), lit("ab")), ("a", "b")))
+try:
+    print(procedures.accepts_non_conjugates(m).verdict)
+except AssertionError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_witness_recheck_survives_optimize_flag():
+    src = os.path.dirname(os.path.dirname(wordshift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", _BROKEN_RECHECK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "WitnessError"

@@ -5,7 +5,7 @@ import pytest
 from wordshift.automata import Nfa, accepted_words, determinize, pair_alphabet
 from wordshift.reductions import (Morphism, ShiftInstance, binary_morphism,
                                   binary_one_step_language, block_morphism,
-                                  diagonal_pairs, general_shift_restrict,
+                                  general_shift_restrict,
                                   one_step_language, recode_binary,
                                   rewrite_to_shift, shift_search,
                                   shift_search_at, shift_to_power)
@@ -23,10 +23,6 @@ def tiny_instance(accepted_word, gamma=("a", "b"), c="c"):
     states = range(len(accepted_word) + 1)
     transitions = {(i, sym, i + 1) for i, sym in enumerate(accepted_word)}
     return ShiftInstance(gamma, c, Nfa(pa, states, {0}, {len(accepted_word)}, transitions))
-
-
-def test_diagonal_pairs():
-    assert diagonal_pairs(("a", "b")) == (("a", "a"), ("b", "b"))
 
 
 def test_one_step_language_matches_one_step():
