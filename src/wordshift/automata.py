@@ -11,7 +11,6 @@ pure and return fresh values, so sharing across threads is safe.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Iterable, Iterator, Optional, Union
 
 Atom = str
@@ -212,6 +211,43 @@ def _explore(starts, successors):
     return order, delta
 
 
+def _search(start, successors, is_goal, max_depth=None):
+    """Length-then-lex least path from ``start`` to a key with ``is_goal``.
+
+    Walks breadth-first in :func:`_explore`'s discovery order, testing the
+    start first and every other key as it is discovered, and returns the
+    labels of the path to the first goal found, or None.  When
+    ``successors(key)`` yields its ``(label, key)`` pairs in alphabet order,
+    that path is the length-then-lex least one.  ``max_depth`` caps the path
+    length.  There is exactly one start key: a walk seeded with several keys
+    still finds the shortest length, but it orders each level by start key
+    first, so its word need not be the lex-least.  That is why searches on
+    an NFA walk sets of states.
+    """
+    if is_goal(start):
+        return ()
+    parent = {start: None}
+    level = [start]
+    depth = 0
+    while level and (max_depth is None or depth < max_depth):
+        depth += 1
+        next_level = []
+        for key in level:
+            for label, nxt in successors(key):
+                if nxt in parent:
+                    continue
+                parent[nxt] = (key, label)
+                if is_goal(nxt):
+                    word = []
+                    while parent[nxt] is not None:
+                        nxt, label = parent[nxt]
+                        word.append(label)
+                    return tuple(reversed(word))
+                next_level.append(nxt)
+        level = next_level
+    return None
+
+
 def determinize(n: Nfa) -> Dfa:
     """Subset construction; reachable subsets only, complete via the empty sink."""
     order, delta = _explore(
@@ -228,17 +264,20 @@ _MODES = {
 }
 
 
+def _pair_successors(a: Dfa, b: Dfa):
+    # Edges of the product of two complete DFAs, on (a-state, b-state) pairs.
+    if a.alphabet != b.alphabet:
+        raise ValueError(f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
+    return lambda pair: [(s, (a.delta[(pair[0], s)], b.delta[(pair[1], s)]))
+                         for s in a.alphabet]
+
+
 def product(a: Dfa, b: Dfa, mode: str) -> Dfa:
     """Boolean combination of two complete DFAs over the same alphabet."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
     combine = _MODES[mode]
-    order, delta = _explore(
-        [(a.start, b.start)],
-        lambda pair: [(s, (a.delta[(pair[0], s)], b.delta[(pair[1], s)]))
-                      for s in a.alphabet])
+    order, delta = _explore([(a.start, b.start)], _pair_successors(a, b))
     finals = {i for i, (qa, qb) in enumerate(order)
               if combine(qa in a.finals, qb in b.finals)}
     return Dfa(a.alphabet, range(len(order)), 0, finals, delta)
@@ -256,56 +295,29 @@ def _as_nfa(a) -> Nfa:
 def is_empty(a) -> bool:
     """True iff the automaton accepts no word.  Plain graph reachability."""
     n = _as_nfa(a)
-    adj: dict = {}
-    for (src, _label, dst) in n.transitions:
-        adj.setdefault(src, set()).add(dst)
-    seen = set(n._start_closure)
-    todo = list(seen)
-    while todo:
-        q = todo.pop()
-        if q in n.finals:
-            return False
-        for r in adj.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                todo.append(r)
-    return True
+    return n._start_closure.isdisjoint(co_reachable(n))
 
 
 def shortest_word(a) -> Optional[Word]:
     """A minimum-length accepted word, lexicographically least among those.
 
-    Breadth-first search over closed subsets, expanding symbols in alphabet
-    order, so the first accepting subset reached carries exactly the
-    length-then-lex least accepted word.  Returns None on the empty language.
+    A DFA is searched over its states, an NFA over its nonempty closed
+    subsets.  Returns None on the empty language.
     """
-    n = _as_nfa(a)
-    start = n._start_closure
-    if start & n.finals:
-        return ()
-    parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for symbol in n.alphabet:
-            nxt = n.step(subset, symbol)
-            if not nxt or nxt in parent:
-                continue
-            parent[nxt] = (subset, symbol)
-            if nxt & n.finals:
-                out = []
-                cur = nxt
-                while parent[cur] is not None:
-                    cur, sym = parent[cur]
-                    out.append(sym)
-                return tuple(reversed(out))
-            queue.append(nxt)
-    return None
+    if isinstance(a, Dfa):
+        return _search(a.start,
+                       lambda q: [(s, a.delta[(q, s)]) for s in a.alphabet],
+                       a.finals.__contains__)
+    return _search(a._start_closure,
+                   lambda subset: [(s, nxt) for s in a.alphabet
+                                   if (nxt := a.step(subset, s))],
+                   lambda subset: not a.finals.isdisjoint(subset))
 
 
 def is_subset(a: Dfa, b: Dfa):
     """Language inclusion test; on failure also returns a shortest word in a - b."""
-    witness = shortest_word(product(a, b, "difference"))
+    witness = _search((a.start, b.start), _pair_successors(a, b),
+                      lambda pair: pair[0] in a.finals and pair[1] not in b.finals)
     return (witness is None, witness)
 
 

@@ -19,9 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from . import langops, procedures, reductions, rewriting
 from .automata import (complement, determinize, is_subset, product,
                        with_alphabet_order)
-from .formats import (ParseError, format_automaton, format_rewriting,
-                      format_word, parse_automaton, parse_rewriting, parse_tm,
-                      parse_word)
+from .formats import (format_automaton, format_rewriting, format_word,
+                      parse_automaton, parse_rewriting, parse_tm, parse_word)
 from .outcome import DecisionOutcome, unknown, yes
 
 
@@ -118,14 +117,16 @@ def _run_rewrite_power(system, a, b, max_n, budget, jobs):
     jobs = min(jobs, max_n, os.cpu_count() or 1)
     if jobs <= 1:
         return rewriting.rewrite_power_search(system, a, b, max_n, budget)
+    if a not in system.alphabet or b not in system.alphabet:
+        raise ValueError("a and b must be alphabet atoms")
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = dict(pool.map(
-            _rewrite_power_job,
-            [(system, a, b, n, budget) for n in range(1, max_n + 1)]))
-    # Canonical merge: the smallest yes wins, matching the serial loop.
-    for n in range(1, max_n + 1):
-        if results[n].is_yes:
-            return yes(n=n, **results[n].witness)
+        # Canonical merge: results arrive in n order and the smallest yes
+        # wins, matching the serial loop.
+        for n, out in pool.map(_rewrite_power_job,
+                               [(system, a, b, n, budget) for n in range(1, max_n + 1)]):
+            if out.is_yes:
+                pool.shutdown(cancel_futures=True)
+                return yes(n=n, **out.witness)
     return unknown(bound=max_n)
 
 
@@ -345,13 +346,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"wordshift: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"wordshift: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"wordshift: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .automata import (Dfa, Nfa, Word, _explore, accepted_words, co_reachable,
-                       determinize, minimize, product, shortest_word)
+from .automata import (Dfa, Nfa, Word, _explore, _search, accepted_words,
+                       co_reachable, determinize, is_subset, minimize,
+                       shortest_word)
 from .langops import cyc, distinct_conjugate_completions, lexleast
 from .outcome import (DecisionOutcome, WitnessError, _check_witness, no,
                       unknown, yes)
@@ -24,12 +25,12 @@ from .words import are_conjugates, convolve
 def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
     """Exact test for a witness x c^n convolved with c^n x where n >= |x|.
 
-    Builds a cubic-size guessing automaton over gamma: a guessed pivot state,
-    one track simulating the determinized instance on (letter, c) pairs from
-    the start, one simulating it on (c, letter) pairs from the pivot.  A word
-    x is accepted when the second simulation ends final and the first ends at
-    a state with an all-(c,c) path to the pivot; the path length supplies
-    n - |x|.
+    Searches sets of (p, pivot, r) triples over gamma: a guessed pivot
+    state, one track simulating the determinized instance on (letter, c)
+    pairs from the start, one simulating it on (c, letter) pairs from the
+    pivot.  A word x is found when some triple has the second simulation
+    final and the first at a state with an all-(c,c) path to the pivot; the
+    path length supplies n - |x|.
     """
     d = determinize(inst.automaton)
     c = inst.c
@@ -38,19 +39,14 @@ def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
     cc_reach = {p: frozenset(_explore([p], lambda q: [(cc, d.delta[(q, cc)])])[0])
                 for p in d.states}
 
-    def successors(state):
-        p, pivot, r = state
+    def successors(triples):
         for g in inst.gamma:
-            yield g, (d.delta[(p, (g, c))], pivot, d.delta[(r, (c, g))])
+            yield g, frozenset((d.delta[(p, (g, c))], pivot, d.delta[(r, (c, g))])
+                               for p, pivot, r in triples)
 
-    pivots = sorted(d.states)
-    order, delta = _explore([(d.start, q, q) for q in pivots], successors)
-    finals = {i for i, (p, pivot, r) in enumerate(order)
-              if r in d.finals and pivot in cc_reach[p]}
-    transitions = {(i, g, j) for (i, g), j in delta.items()}
-    guesser = Nfa(inst.gamma, range(len(order)), range(len(pivots)), finals,
-                  transitions)
-    x = shortest_word(guesser)
+    x = _search(frozenset((d.start, q, q) for q in d.states), successors,
+                lambda triples: any(r in d.finals and pivot in cc_reach[p]
+                                    for p, pivot, r in triples))
     if x is None:
         return no()
     # Smallest admissible n for this x: extend the padding block until the
@@ -135,11 +131,9 @@ def accepts_non_conjugates(m: Dfa) -> DecisionOutcome:
     closure of its per-length minima: any word outside that closure, paired
     with the minimum of its own length, is a witness.
     """
-    minima = lexleast(m)
-    closure = determinize(cyc(minima))
-    gap = product(m, closure, "difference")
-    x = shortest_word(gap)
-    if x is None:
+    closure = determinize(cyc(minimize(lexleast(m))))
+    holds, x = is_subset(m, closure)
+    if holds:
         return no()
     y = _least_word_of_length(m, len(x))
     _check_witness(y is not None and m.accepts(x) and m.accepts(y),

@@ -11,11 +11,10 @@ and can only answer yes-with-witness or unknown.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from .automata import (Atom, Dfa, Nfa, Word, _explore, check_atom, co_reachable,
-                       determinize, is_empty, pair_alphabet, product, relabel)
+from .automata import (Atom, Dfa, Nfa, Word, _explore, _search, check_atom,
+                       co_reachable, determinize, pair_alphabet, product, relabel)
 from .outcome import DecisionOutcome, _check_witness, unknown, yes
 from .regex import alt, lit, one_of, plus, regex_assemble, seq, star
 from .rewriting import RewritingSystem
@@ -162,39 +161,28 @@ def shift_search_at(inst: ShiftInstance, n: int,
     if n < 1:
         raise ValueError("n must be at least 1")
     d = determinize(inst.automaton)
-    live = co_reachable(d.to_nfa())
+    live = co_reachable(d)
     c = inst.c
 
-    def completion_accepts(state, window) -> bool:
+    def successors(key):
+        state, window = key
+        for g in inst.gamma:
+            fed = (g, c) if len(window) < n else (g, window[0])
+            nxt_state = d.delta[(state, fed)]
+            if nxt_state in live:
+                nxt_window = window + (g,) if len(window) < n else window[1:] + (g,)
+                yield g, (nxt_state, nxt_window)
+
+    def completion_accepts(key) -> bool:
+        state, window = key
         for _ in range(n - len(window)):
             state = d.delta[(state, (c, c))]
         for owed in window:
             state = d.delta[(state, (c, owed))]
         return state in d.finals
 
-    start = (d.start, ())
-    if completion_accepts(*start):
-        return ()
-    seen = {start}
-    queue = deque([((), start)])
-    while queue:
-        x, (state, window) = queue.popleft()
-        if max_x_len is not None and len(x) >= max_x_len:
-            continue
-        for g in inst.gamma:
-            fed = (g, c) if len(window) < n else (g, window[0])
-            nxt_state = d.delta[(state, fed)]
-            if nxt_state not in live:
-                continue
-            nxt_window = window + (g,) if len(window) < n else window[1:] + (g,)
-            nxt = (nxt_state, nxt_window)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if completion_accepts(*nxt):
-                return x + (g,)
-            queue.append((x + (g,), nxt))
-    return None
+    return _search((d.start, ()), successors, completion_accepts,
+                   max_depth=max_x_len)
 
 
 def shift_search(inst: ShiftInstance, max_len: int) -> DecisionOutcome:
@@ -281,9 +269,9 @@ def binary_one_step_language(s: RewritingSystem, a: Atom, b: Atom) -> Nfa:
                           pair_alphabet(("1", "0")))
 
 
-def recode_binary(s: RewritingSystem, a: Atom, b: Atom) -> ShiftInstance:
+def recode_binary(s: RewritingSystem, a: Atom, b: Atom) -> PowerInstance:
     """Binary-coded variant of :func:`rewrite_to_shift` over the pair
-    alphabet of {0,1}, for use with the fixed-base power search at k = 2.
+    alphabet of {0,1}, as a base-2 instance for the power search.
 
     Every atom of the unrecoded construction is replaced by its block image;
     blocks for real symbols are bordered by 1s while the padding block is all
@@ -301,7 +289,7 @@ def recode_binary(s: RewritingSystem, a: Atom, b: Atom) -> ShiftInstance:
         lit(convolve(enc((c,)), enc((d,)))),
     )
     automaton = regex_assemble(expr, pair_alphabet(("1", "0")))
-    return ShiftInstance(("1",), "0", automaton)
+    return PowerInstance(2, automaton, {"0": "0", "1": "1"})
 
 
 def _projection_constraint_dfa(alphabet, gamma, c: Atom):
@@ -344,14 +332,9 @@ def general_shift_restrict(inst: ShiftInstance):
     and whose second track lies in c+ gamma*.
     """
     d = determinize(inst.automaton)
-    alphabet = d.alphabet
-    gamma_set = set(inst.gamma)
-    diag_delta = {}
-    for (u, v) in alphabet:
-        diag_delta[(0, (u, v))] = 0 if (u == v and u in gamma_set) else 1
-        diag_delta[(1, (u, v))] = 1
-    diag = Dfa(alphabet, (0, 1), 0, {0}, diag_delta)
-    diagonal_hit = not is_empty(product(d, diag, "intersect"))
-    restrictor = _projection_constraint_dfa(alphabet, inst.gamma, inst.c)
+    diagonal = [(g, g) for g in inst.gamma]
+    diagonal_hit = _search(d.start, lambda q: [(s, d.delta[(q, s)]) for s in diagonal],
+                           d.finals.__contains__) is not None
+    restrictor = _projection_constraint_dfa(d.alphabet, inst.gamma, inst.c)
     restricted = product(d, restrictor, "intersect").to_nfa()
     return diagonal_hit, restricted

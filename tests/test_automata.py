@@ -73,6 +73,8 @@ def test_product_alphabet_mismatch():
     b = rand_dfa(random.Random(2), 2, ("a", "c"))
     with pytest.raises(ValueError, match="alphabet mismatch"):
         product(a, b, "intersect")
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        is_subset(a, b)
 
 
 def test_complement_of_empty_is_everything():
@@ -112,6 +114,11 @@ def test_shortest_word_is_least_accepted():
             assert enumerated == []
         else:
             assert enumerated and enumerated[0] == best
+    # a DFA is searched over its states; the subset search over its
+    # singleton sets must find the same word
+    for _ in range(40):
+        d = rand_dfa(rng, 5, AB, final_p=0.2)
+        assert shortest_word(d) == shortest_word(d.to_nfa())
 
 
 def test_is_subset_examples():
@@ -129,6 +136,7 @@ def test_is_subset_matches_enumeration():
         a = rand_dfa(rng, 3, AB)
         b = rand_dfa(rng, 3, AB)
         holds, witness = is_subset(a, b)
+        assert witness == shortest_word(product(a, b, "difference"))
         gap = [word for word in all_words(AB, 8)
                if a.accepts(word) and not b.accepts(word)]
         if holds:

@@ -294,6 +294,9 @@ def test_jobs_clamped_and_rejected(run, monkeypatch):
 
         map = staticmethod(map)
 
+        def shutdown(self, cancel_futures=False):
+            pass
+
     monkeypatch.setattr("wordshift.cli.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     path = run.write("ab.rs", AB_SYSTEM)
@@ -307,4 +310,8 @@ def test_jobs_clamped_and_rejected(run, monkeypatch):
         code, out, err = run("search", "rewrite-power", path, "--max-n", "5",
                              "--jobs", jobs)
         assert code == 1 and out == "" and err.startswith("wordshift:")
+    code, out, err = run("search", "rewrite-power", path, "--max-n", "5",
+                         "--letters", "a", "z", "--jobs", "2")
+    assert (code, out) == (1, "")
+    assert err == "wordshift: a and b must be alphabet atoms\n"
     assert sizes == [3, 2]

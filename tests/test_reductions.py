@@ -12,7 +12,7 @@ from wordshift.reductions import (Morphism, ShiftInstance, binary_morphism,
 from wordshift.rewriting import RewritingSystem, one_step, reachable
 from wordshift.words import convolve, project
 
-from conftest import all_words, rand_system, w
+from conftest import all_words, rand_nfa, rand_system, w
 
 A_TO_B = RewritingSystem(("a", "b"), [(w("a"), w("b"))])
 
@@ -84,6 +84,11 @@ def test_shift_search_at_is_exact_per_offset():
             derivable = reachable(s, ("a",) * (n - 1), ("b",) * (n - 1)).is_yes
             witness = shift_search_at(inst, n)
             assert (witness is not None) == derivable
+            # a cap keeps the uncapped x when it fits, and finds nothing else
+            caps = {0, 4} | ({len(witness) - 1, len(witness)} if witness else set())
+            for cap in caps:
+                fits = witness is not None and len(witness) <= cap
+                assert shift_search_at(inst, n, max_x_len=cap) == (witness if fits else None)
 
 
 def test_shift_search_monotone_in_bound():
@@ -170,7 +175,7 @@ def test_binary_one_step_language():
 
 def test_recode_binary_instance():
     inst = recode_binary(A_TO_B, "a", "b")
-    assert inst.gamma == ("1",) and inst.c == "0"
+    assert inst.k == 2
     assert set(inst.automaton.alphabet) == set(pair_alphabet(("1", "0")))
     phi = binary_morphism(A_TO_B, "a", "b")
     # the block-coded image of the unrecoded witness is accepted
@@ -205,6 +210,21 @@ def test_general_shift_restrict_diagonal():
     hit, restricted = general_shift_restrict(inst)
     assert not hit
     assert restricted.accepts((("a", "c"), ("c", "a")))
+    hit, _ = general_shift_restrict(tiny_instance(()))  # x = the empty word
+    assert hit
+    # an accepting path need not repeat a state, so diagonal words up to the
+    # state count decide the hit exactly
+    rng = random.Random(505)
+    gamma = ("a", "b")
+    outcomes = set()
+    for _ in range(40):
+        nfa = rand_nfa(rng, 4, pair_alphabet(gamma + ("c",)))
+        hit, _ = general_shift_restrict(ShiftInstance(gamma, "c", nfa))
+        expected = any(nfa.accepts(tuple((g, g) for g in x))
+                       for x in all_words(gamma, len(nfa.states)))
+        assert hit == expected
+        outcomes.add(hit)
+    assert outcomes == {True, False}
 
 
 def test_general_shift_restrict_is_a_restriction():
