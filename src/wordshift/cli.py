@@ -160,7 +160,7 @@ def build_parser() -> _Parser:
     p = check.add_parser("distinct-conjugates")
     p.add_argument("automaton")
     p.add_argument("--state-cap", type=int, default=None,
-                   help="guard for the quadratic-length enumeration (default: uncapped)")
+                   help="reject machines with more states (default: uncapped)")
     p.add_argument("--alphabet-order")
     p = check.add_parser("non-conjugates")
     p.add_argument("automaton")

@@ -4,7 +4,7 @@ procedure.
 """
 from __future__ import annotations
 
-from .automata import EPSILON, Dfa, Nfa, Word, _explore, complement, product
+from .automata import EPSILON, Dfa, Nfa, Word, _explore
 from .words import primitive_root
 
 
@@ -56,26 +56,28 @@ def cyc(m: Dfa) -> Nfa:
     return Nfa(m.alphabet, range(len(order)), range(len(pivots)), finals, transitions)
 
 
-def _root_star_dfa(alphabet, root: Word) -> Dfa:
-    # Complete DFA for root*, with a dead state for any deviation.
-    n = len(root)
-    dead = n
-    delta = {}
-    for i in range(n):
-        for symbol in alphabet:
-            delta[(i, symbol)] = ((i + 1) % n) if symbol == root[i] else dead
-    for symbol in alphabet:
-        delta[(dead, symbol)] = dead
-    return Dfa(alphabet, range(n + 1), 0, {0}, delta)
+def _completion_successors(m: Dfa, root: Word):
+    # Edges on (after-state, before-state, root-position) triples: both
+    # state components step by the same symbol, and the position tracks a
+    # complete DFA for root*, whose position len(root) is the dead state.
+    dead = len(root)
+
+    def successors(key):
+        after, before, i = key
+        for symbol in m.alphabet:
+            j = (i + 1) % dead if i < dead and symbol == root[i] else dead
+            yield symbol, (m.delta[(after, symbol)], m.delta[(before, symbol)], j)
+    return successors
 
 
 def distinct_conjugate_completions(m: Dfa, x: Word) -> Dfa:
     """Language of y with xy and yx both accepted and xy != yx.
 
-    Intersection of three machines: m with its start advanced over x, m with
-    finals redefined to the states that reach a final via x, and the
-    complement of t* for t the primitive root of x (commuting with x means
-    being a power of its root, so the complement enforces xy != yx).
+    States are (after, before, position) triples: m run from the state
+    reached on x, m run from the start with finals redefined to the states
+    that reach a final via x, and a position in t* for t the primitive root
+    of x (commuting with x means being a power of its root, so a final
+    triple must have left t*).  Reachable triples only.
     """
     x = tuple(x)
     if not x:
@@ -83,9 +85,10 @@ def distinct_conjugate_completions(m: Dfa, x: Word) -> Dfa:
     for symbol in x:
         if symbol not in m._index:
             raise ValueError(f"symbol {symbol!r} not in the automaton's alphabet")
-    after_x = Dfa(m.alphabet, m.states, m.run(m.start, x), m.finals, m.delta)
-    before_x = Dfa(m.alphabet, m.states, m.start,
-                   {q for q in m.states if m.run(q, x) in m.finals}, m.delta)
+    before_finals = {q for q in m.states if m.run(q, x) in m.finals}
     root, _ = primitive_root(x)
-    non_commuting = complement(_root_star_dfa(m.alphabet, root))
-    return product(product(after_x, before_x, "intersect"), non_commuting, "intersect")
+    order, delta = _explore([(m.run(m.start, x), m.start, 0)],
+                            _completion_successors(m, root))
+    finals = {i for i, (after, before, pos) in enumerate(order)
+              if after in m.finals and before in before_finals and pos != 0}
+    return Dfa(m.alphabet, range(len(order)), 0, finals, delta)

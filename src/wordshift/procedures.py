@@ -12,14 +12,13 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .automata import (Dfa, Nfa, Word, _explore, _search, accepted_words,
-                       co_reachable, determinize, is_subset, minimize,
-                       shortest_word)
-from .langops import cyc, distinct_conjugate_completions, lexleast
+                       co_reachable, determinize, is_subset, minimize)
+from .langops import _completion_successors, cyc, lexleast
 from .outcome import (DecisionOutcome, WitnessError, _check_witness, no,
                       unknown, yes)
 from .reductions import ShiftInstance
 from .regex import alt, lit, plus, regex_assemble, seq
-from .words import are_conjugates, convolve
+from .words import are_conjugates, convolve, primitive_root
 
 
 def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
@@ -59,45 +58,112 @@ def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
     raise WitnessError("guessing automaton accepted x but no padding length works")
 
 
-def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = 4) -> DecisionOutcome:
+# A root no symbol matches: its only power is the empty word.
+_NO_ROOT = (None,)
+
+
+def _completion_search(m: Dfa, p: int, before: frozenset, root: Word) -> Optional[Word]:
+    # Least y outside root* with run(p, y) final and run(start, y) in before.
+    return _search((p, m.start, 0), _completion_successors(m, root),
+                   lambda key: key[0] in m.finals and key[1] in before and key[2] != 0)
+
+
+def _completion_class(m: Dfa, live: frozenset, p: int, before: frozenset):
+    # For the u with run(start, u) = p and {q : run(q, u) final} = before:
+    # None if no nonempty y has uy and yu accepted; a primitive s if every
+    # such y is a power of s, so exactly the u with root s have no
+    # completion; () if they have two roots, so every u has one.
+    if p not in live or not before:
+        return None
+    y = _completion_search(m, p, before, _NO_ROOT)
+    if y is None:
+        return None
+    s, _ = primitive_root(y)
+    return s if _completion_search(m, p, before, s) is None else ()
+
+
+def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = None) -> DecisionOutcome:
     """Exact test for two accepted words uv != vu.
 
     If a witness pair exists, one exists with the u side of length at most
-    the square of the state count, so enumerating u in length-then-lex order
-    and testing the completion language for emptiness decides the question.
-    The u whose left quotient or right quotient is empty are pruned before
-    any construction.  ``state_cap`` guards against the exponential
-    enumeration on larger machines; pass None to lift it.
+    the square of the state count.  Whether u has a completion v depends
+    only on the transformation u induces on the reachable states and on the
+    primitive root of u, and each transformation is classified once.  The
+    transformations are walked level by level; at each length a descent in
+    alphabet order through those that lead to a completion finds the
+    length-then-lex least u that has one, stepping past u = s^e where every
+    completion is a power of s.  v is the length-then-lex least completion
+    of u.  ``state_cap``, when given, rejects machines with more states.
     """
     n = len(m.states)
     if state_cap is not None and n > state_cap:
         raise ValueError(f"machine has {n} states, above state_cap={state_cap}; "
-                         "pass state_cap=None to run the full enumeration")
+                         "pass state_cap=None to lift the cap")
     live = co_reachable(m)
+    # reach[0] is the start state, so vec[0] = run(start, u).
     reach, _ = _explore([m.start],
                         lambda q: [(s, m.delta[(q, s)]) for s in m.alphabet])
-    reach.sort()
-    start_pos = reach.index(m.start)
-    level = [((), tuple(reach))]
+    identity = tuple(reach)
+    edges = {}
+    classes = {}
+
+    def successors(vec):
+        # One successor per symbol, in alphabet order.
+        if vec not in edges:
+            edges[vec] = [tuple(m.delta[(q, s)] for q in vec) for s in m.alphabet]
+        return edges[vec]
+
+    def before_of(vec):
+        return frozenset(q for q, r in zip(reach, vec) if r in m.finals)
+
+    def class_of(vec):
+        key = (vec[0], before_of(vec))
+        if key not in classes:
+            classes[key] = _completion_class(m, live, *key)
+        return classes[key]
+
+    def least_good_word(alive):
+        # Depth-first in alphabet order through alive[k] at depth k; only
+        # leaves u = s^e send it back.
+        word = []
+        stack = [iter(zip(m.alphabet, successors(identity)))]
+        while stack:
+            for symbol, vec in stack[-1]:
+                if vec not in alive[len(word) + 1]:
+                    continue
+                word.append(symbol)
+                if len(word) < len(alive) - 1:
+                    stack.append(iter(zip(m.alphabet, successors(vec))))
+                    break
+                if class_of(vec) != primitive_root(word)[0]:
+                    return tuple(word), vec
+                word.pop()
+            else:
+                stack.pop()
+                if word:
+                    word.pop()
+        return None
+
+    layers = [{identity}]
     for _length in range(1, n * n + 1):
-        nxt_level = []
-        for word, vec in level:
-            for symbol in m.alphabet:
-                nxt_level.append((word + (symbol,),
-                                  tuple(m.delta[(q, symbol)] for q in vec)))
-        level = nxt_level
-        for u, vec in level:
-            if vec[start_pos] not in live:
-                continue  # no completion of u is accepted
-            if not any(q in m.finals for q in vec):
-                continue  # nothing accepted ends with u
-            completions = distinct_conjugate_completions(m, u)
-            v = shortest_word(completions)
-            if v is not None:
-                uv, vu = u + v, v + u
-                _check_witness(m.accepts(uv) and m.accepts(vu) and uv != vu,
-                               "distinct-conjugates witness fails uv, vu accepted, uv != vu")
-                return yes(u=u, v=v, uv=uv, vu=vu)
+        layers.append({nxt for vec in layers[-1] for nxt in successors(vec)})
+        targets = {vec for vec in layers[-1] if class_of(vec) is not None}
+        if not targets:
+            continue
+        # alive[k]: the level-k elements some target is reachable from.
+        alive = [targets]
+        for level in reversed(layers[:-1]):
+            alive.append({vec for vec in level
+                          if any(nxt in alive[-1] for nxt in successors(vec))})
+        alive.reverse()
+        found = least_good_word(alive)
+        if found is not None:
+            u, vec = found
+            v = _completion_search(m, vec[0], before_of(vec), primitive_root(u)[0])
+            _check_witness(v is not None and m.accepts(u + v) and m.accepts(v + u)
+                           and u + v != v + u,
+                           "distinct-conjugates witness fails uv, vu accepted, uv != vu")
+            return yes(u=u, v=v, uv=u + v, vu=v + u)
     return no()
 
 

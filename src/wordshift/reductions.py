@@ -161,7 +161,13 @@ def shift_search_at(inst: ShiftInstance, n: int,
     if n < 1:
         raise ValueError("n must be at least 1")
     d = determinize(inst.automaton)
-    live = co_reachable(d)
+    return _shift_search_at(inst, d, co_reachable(d), n, max_x_len)
+
+
+def _shift_search_at(inst: ShiftInstance, d: Dfa, live: frozenset, n: int,
+                     max_x_len: Optional[int]) -> Optional[Word]:
+    # shift_search_at on the instance's determinized automaton ``d`` and its
+    # co-reachable states ``live``, which do not depend on n.
     c = inst.c
 
     def successors(key):
@@ -192,9 +198,11 @@ def shift_search(inst: ShiftInstance, max_len: int) -> DecisionOutcome:
     The witness is the length-then-lex least x over all n, with the smallest
     n for that x, so output is reproducible.
     """
+    d = determinize(inst.automaton)
+    live = co_reachable(d)
     best = None
     for n in range(1, max_len + 1):
-        x = shift_search_at(inst, n, max_x_len=max_len)
+        x = _shift_search_at(inst, d, live, n, max_len)
         if x is None:
             continue
         key = (len(x), tuple(inst.gamma.index(g) for g in x), n)

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from wordshift.automata import EPSILON, Dfa, Nfa
+from wordshift.automata import EPSILON, Dfa, Nfa, complement, product
 from wordshift.rewriting import RewritingSystem
+from wordshift.words import primitive_root
 
 
 def w(text):
@@ -78,6 +79,29 @@ def rand_dfa(rng, n_states, alphabet, final_p=0.4):
             delta[(q, symbol)] = rng.randrange(n_states)
     finals = {q for q in range(n_states) if rng.random() < final_p}
     return Dfa(alphabet, range(n_states), 0, finals, delta)
+
+
+def root_star_dfa(alphabet, root):
+    """Complete DFA for root*, with a dead state for any deviation."""
+    n = len(root)
+    delta = {}
+    for i in range(n):
+        for symbol in alphabet:
+            delta[(i, symbol)] = ((i + 1) % n) if symbol == root[i] else n
+    for symbol in alphabet:
+        delta[(n, symbol)] = n
+    return Dfa(alphabet, range(n + 1), 0, {0}, delta)
+
+
+def product_completions(m, x):
+    """Reference completion language of x: m after x, intersected with m
+    accepting via x, intersected with the complement of root(x)*."""
+    after_x = Dfa(m.alphabet, m.states, m.run(m.start, x), m.finals, m.delta)
+    before_x = Dfa(m.alphabet, m.states, m.start,
+                   {q for q in m.states if m.run(q, x) in m.finals}, m.delta)
+    root, _ = primitive_root(x)
+    non_commuting = complement(root_star_dfa(m.alphabet, root))
+    return product(product(after_x, before_x, "intersect"), non_commuting, "intersect")
 
 
 def rand_system(rng, alphabet=("a", "b"), max_rules=3, max_side=2):

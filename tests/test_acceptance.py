@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-from wordshift.automata import (accepted_words, determinize, minimize,
+from wordshift.automata import (Dfa, accepted_words, determinize, minimize,
                                 pair_alphabet)
 from wordshift.langops import cyc, lexleast
 from wordshift.procedures import (accepts_distinct_conjugates,
@@ -150,7 +150,7 @@ def test_criterion_4_long_shift_cross_validation():
 
 def test_criterion_5_distinct_conjugates_family():
     with budget("criterion 5 (distinct conjugates and family)", 60):
-        for t in (1, 2):
+        for t in (1, 2, 3, 4):
             m = long_witness_language(t)
             out = accepts_distinct_conjugates(m, state_cap=None)
             assert out.is_yes
@@ -163,6 +163,12 @@ def test_criterion_5_distinct_conjugates_family():
         assert accepts_distinct_conjugates(repeated, state_cap=None).is_no
         single = minimize(determinize(regex_assemble(lit(w("ab")), AB)))
         assert accepts_distinct_conjugates(single, state_cap=None).is_no
+        # a 4-cycle on a with a sink on b accepts (aaaa)*, whose words commute
+        delta = {(q, "a"): (q + 1) % 4 for q in range(4)}
+        delta.update({(q, "b"): 4 for q in range(5)})
+        delta[(4, "a")] = 4
+        cycle = Dfa(AB, range(5), 0, {0}, delta)
+        assert accepts_distinct_conjugates(cycle, state_cap=None).is_no
 
 
 def test_criterion_6_non_conjugates_cross_validation():

@@ -6,7 +6,7 @@ from wordshift.automata import determinize, is_empty
 from wordshift.langops import cyc, distinct_conjugate_completions, lexleast
 from wordshift.regex import alt, lit, one_of, regex_assemble, star
 
-from conftest import all_words, language, rand_dfa, w
+from conftest import all_words, language, product_completions, rand_dfa, w
 
 AB = ("a", "b")
 
@@ -116,6 +116,22 @@ def test_completions_match_definition():
                 expected = (m.accepts(x + y) and m.accepts(y + x)
                             and x + y != y + x)
                 assert lx.accepts(y) == expected
+
+
+def test_completions_match_product_construction():
+    # the triple walk numbers its states exactly as the three-product
+    # construction it replaced
+    rng = random.Random(306)
+    for _ in range(60):
+        alphabet = rng.choice((AB, ("a", "b", "c")))
+        m = rand_dfa(rng, rng.randint(1, 4), alphabet)
+        for x in all_words(alphabet, 4):
+            if not x:
+                continue
+            got = distinct_conjugate_completions(m, x)
+            want = product_completions(m, x)
+            assert (got.states, got.start, got.finals, got.delta) == \
+                (want.states, want.start, want.finals, want.delta)
 
 
 def test_completions_reject_empty_x():

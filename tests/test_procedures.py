@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from wordshift.automata import (Nfa, accepted_words, determinize, minimize,
-                                pair_alphabet)
+from wordshift.automata import (Nfa, accepted_words, co_reachable,
+                                determinize, minimize, pair_alphabet,
+                                shortest_word)
 import wordshift
 from wordshift.outcome import DecisionOutcome
 from wordshift.procedures import (accepts_distinct_conjugates,
@@ -16,9 +18,10 @@ from wordshift.procedures import (accepts_distinct_conjugates,
                                   long_witness_language, quo_enumerate)
 from wordshift.reductions import ShiftInstance
 from wordshift.regex import alt, lit, regex_assemble, star
-from wordshift.words import are_conjugates, convolve
+from wordshift.words import are_conjugates, convolve, primitive_root
 
-from conftest import all_words, language, rand_dfa, rand_nfa, w
+from conftest import (all_words, language, product_completions, rand_dfa,
+                      rand_nfa, w)
 
 AB = ("a", "b")
 
@@ -98,8 +101,9 @@ def test_distinct_conjugates_state_cap():
     m = dfa_for(alt(lit(w("ab")), lit(w("ba"))))
     assert len(m.states) == 5
     with pytest.raises(ValueError, match="state_cap"):
-        accepts_distinct_conjugates(m)
+        accepts_distinct_conjugates(m, state_cap=4)
     assert accepts_distinct_conjugates(m, state_cap=5).is_yes
+    assert accepts_distinct_conjugates(m).is_yes
 
 
 def brute_distinct_conjugates(m, max_len):
@@ -125,6 +129,54 @@ def test_distinct_conjugates_matches_brute_force():
             assert out.is_yes
         if out.is_yes:
             assert brute is not None
+
+
+def enumerate_distinct_conjugates(m):
+    """Reference procedure: every u up to length n^2 in length-then-lex
+    order, each tested through its three-product completion language.
+
+    Returns the (u, v) witness or None, and how many u were passed over
+    although some nonempty y has uy and yu accepted, which happens exactly
+    when every such y is a power of the root of u."""
+    n = len(m.states)
+    live = co_reachable(m)
+    reach = {m.start}
+    for _ in range(n):
+        reach |= {m.delta[(q, s)] for q in reach for s in m.alphabet}
+    skipped = 0
+    for length in range(1, n * n + 1):
+        for u in itertools.product(m.alphabet, repeat=length):
+            if m.run(m.start, u) not in live:
+                continue  # no completion of u is accepted
+            if not any(m.run(q, u) in m.finals for q in reach):
+                continue  # nothing accepted ends with u
+            v = shortest_word(product_completions(m, u))
+            if v is not None:
+                return (u, v), skipped
+            root, _ = primitive_root(u)
+            skipped += any(m.accepts(u + root * j) for j in range(1, n + 1))
+    return None, skipped
+
+
+def test_distinct_conjugates_matches_enumeration():
+    # the monoid walk returns exactly the witness of the word enumeration
+    # it replaced, and some instance steps past a u = s^e
+    rng = random.Random(606)
+    cases = [rand_dfa(rng, rng.randint(1, 3), AB) for _ in range(200)]
+    cases += [rand_dfa(rng, rng.randint(1, 3), ("a", "b", "c")) for _ in range(40)]
+    cases += [rand_dfa(rng, 4, AB) for _ in range(8)]
+    cases += [long_witness_language(t) for t in (1, 2, 3)]
+    skipped = 0
+    for m in cases:
+        expected, passed_over = enumerate_distinct_conjugates(m)
+        skipped += passed_over
+        out = accepts_distinct_conjugates(m)
+        if expected is None:
+            assert out.is_no
+        else:
+            assert out.is_yes
+            assert (out.witness["u"], out.witness["v"]) == expected
+    assert skipped > 0
 
 
 def test_non_conjugates_examples():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wordshift import reductions
 from wordshift.automata import Nfa, accepted_words, determinize, pair_alphabet
 from wordshift.reductions import (Morphism, ShiftInstance, binary_morphism,
                                   binary_one_step_language, block_morphism,
@@ -99,6 +100,31 @@ def test_shift_search_monotone_in_bound():
         widened = shift_search(inst, wider)
         assert widened.is_yes
         assert widened.witness["x"] == first_yes.witness["x"]
+
+
+def test_shift_search_determinizes_once(monkeypatch):
+    calls = []
+
+    def counting_determinize(nfa):
+        calls.append(nfa)
+        return determinize(nfa)
+
+    monkeypatch.setattr(reductions, "determinize", counting_determinize)
+    rng = random.Random(503)
+    for s in [A_TO_B] + [rand_system(rng) for _ in range(6)]:
+        inst = rewrite_to_shift(s, "a", "b")
+        calls.clear()
+        out = shift_search(inst, 5)
+        assert len(calls) == 1
+        # the least x over all n, with the smallest n for that x
+        hits = [(len(x), tuple(inst.gamma.index(g) for g in x), n, x)
+                for n in range(1, 6)
+                if (x := shift_search_at(inst, n, max_x_len=5)) is not None]
+        if hits:
+            _, _, n, x = min(hits)
+            assert (out.witness["x"], out.witness["n"]) == (x, n)
+        else:
+            assert out.is_unknown
 
 
 def test_shift_to_power_single_letter():
