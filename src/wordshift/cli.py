@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import langops, procedures, reductions, rewriting
 from .automata import (complement, determinize, is_subset, product,
@@ -119,6 +118,9 @@ def _run_rewrite_power(system, a, b, max_n, budget, jobs):
         return rewriting.rewrite_power_search(system, a, b, max_n, budget)
     if a not in system.alphabet or b not in system.alphabet:
         raise ValueError("a and b must be alphabet atoms")
+    # Imported here: only --jobs > 1 needs it, and every CLI process would
+    # pay for it at start-up.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         # Canonical merge: results arrive in n order and the smallest yes
         # wins, matching the serial loop.

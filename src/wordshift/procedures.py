@@ -16,7 +16,7 @@ from .automata import (Dfa, Nfa, Word, _explore, _search, accepted_words,
 from .langops import _completion_successors, cyc, lexleast
 from .outcome import (DecisionOutcome, WitnessError, _check_witness, no,
                       unknown, yes)
-from .reductions import ShiftInstance
+from .reductions import ShiftInstance, _window_searcher
 from .regex import alt, lit, plus, regex_assemble, seq
 from .words import are_conjugates, convolve, primitive_root
 
@@ -209,6 +209,16 @@ def accepts_non_conjugates(m: Dfa) -> DecisionOutcome:
     return yes(x=x, y=y)
 
 
+def _digit(atom, k: int) -> int:
+    try:
+        digit = int(atom)
+    except (TypeError, ValueError):
+        raise ValueError(f"{atom!r} is not a digit atom") from None
+    if not 0 <= digit < k:
+        raise ValueError(f"digit {digit} out of range for base {k}")
+    return digit
+
+
 def base_k_value(w: Word, k: int) -> int:
     """Integer value of a digit word, most significant digit first; the
     empty word is 0."""
@@ -216,13 +226,7 @@ def base_k_value(w: Word, k: int) -> int:
         raise ValueError("base must be at least 2")
     value = 0
     for atom in w:
-        try:
-            digit = int(atom)
-        except (TypeError, ValueError):
-            raise ValueError(f"{atom!r} is not a digit atom") from None
-        if not 0 <= digit < k:
-            raise ValueError(f"digit {digit} out of range for base {k}")
-        value = value * k + digit
+        value = value * k + _digit(atom, k)
     return value
 
 
@@ -252,38 +256,54 @@ def quo_enumerate(m: Nfa, k: int, max_len: int) -> QuoEnumeration:
     return QuoEnumeration(frozenset(ratios), zeros)
 
 
-def _power_exponent(value: int, k: int) -> Optional[int]:
-    if value < 1:
-        return None
-    i = 0
-    while value % k == 0:
-        value //= k
-        i += 1
-    return i if value == 1 else None
-
-
 def accepts_power_search(m: Nfa, k: int, max_len: int) -> DecisionOutcome:
-    """Bounded scan for an accepted word whose track quotient is a power of k.
+    """Bounded search for an accepted word whose track quotient is a power of k.
 
-    Semi-decision over word length; the witness records the word, the
-    exponent and the two track values.
+    A digit word with second track v, val(v) > 0, has val(first track) =
+    k^i val(v) exactly when it is (0,0)^j conv(y 0^i, 0^i y) for a y that
+    starts with a nonzero digit.  So for each exponent i one windowed
+    search over the determinized automaton, the shift search's rule with
+    padding 0, finds the length-then-lex least such word of length <=
+    max_len; the least over all i is the witness, which records the word,
+    the exponent and the two track values.  Semi-decision over word length.
+    Every atom must be a digit below k, and no two atoms may share a value.
     """
     if k < 2:
         raise ValueError("base must be at least 2")
-    for word in accepted_words(m, max_len):
-        p = base_k_value((u for (u, _v) in word), k)
-        q = base_k_value((v for (_u, v) in word), k)
-        if q == 0:
+    atom_of = {}
+    for symbol in m.alphabet:
+        if not isinstance(symbol, tuple):
+            raise ValueError(f"power search needs pair symbols, got {symbol!r}")
+        for atom in symbol:
+            value = _digit(atom, k)
+            if atom_of.setdefault(value, atom) != atom:
+                raise ValueError(f"atoms {atom_of[value]!r} and {atom!r} both have "
+                                 f"digit value {value}")
+    zero = atom_of.get(0)
+    d = determinize(m)
+    search = _window_searcher(d, co_reachable(d), zero, tuple(atom_of.values()))
+    best = None
+    for i in range(max_len):
+        bound = max_len if best is None else len(best[1])
+        if i >= bound:
+            break
+        path = search(i, bound - i, prefix=True)
+        if path is None:
             continue
-        ratio = Fraction(p, q)
-        if ratio.denominator != 1:
-            continue
-        i = _power_exponent(ratio.numerator, k)
-        if i is not None:
-            _check_witness(Fraction(p, q) == Fraction(k) ** i,
-                           "power witness quotient is not a power of k")
-            return yes(i=i, word=word, numerator=p, denominator=q)
-    return unknown(bound=max_len)
+        # The path spells 0^j y, so the tracks are 0^j y 0^i and 0^(i+j) y.
+        pad = (zero,) * i
+        word = convolve(path + pad, pad + path)
+        key = (len(word), [m.alphabet.index(s) for s in word])
+        if best is None or key < best[0]:
+            best = (key, word, i)
+    if best is None:
+        return unknown(bound=max_len)
+    _, word, i = best
+    p = base_k_value((u for (u, _v) in word), k)
+    q = base_k_value((v for (_u, v) in word), k)
+    _check_witness(m.accepts(word) and q > 0 and Fraction(p, q) == Fraction(k) ** i,
+                   "power witness is not accepted or its quotient is not k^i")
+    return yes(i=i, word=word, numerator=p, denominator=q)
 
 
 def long_witness_language(t: int) -> Dfa:

@@ -161,34 +161,57 @@ def shift_search_at(inst: ShiftInstance, n: int,
     if n < 1:
         raise ValueError("n must be at least 1")
     d = determinize(inst.automaton)
-    return _shift_search_at(inst, d, co_reachable(d), n, max_x_len)
+    return _window_searcher(d, co_reachable(d), inst.c, inst.gamma)(n, max_x_len)
 
 
-def _shift_search_at(inst: ShiftInstance, d: Dfa, live: frozenset, n: int,
-                     max_x_len: Optional[int]) -> Optional[Word]:
-    # shift_search_at on the instance's determinized automaton ``d`` and its
-    # co-reachable states ``live``, which do not depend on n.
-    c = inst.c
+def _window_searcher(d: Dfa, live: frozenset, pad: Atom, letters):
+    # The rule behind the shift and power searches: search(n, ...) finds the
+    # least y over ``letters``, length-then-lex in d's alphabet order, with
+    # conv(y pad^n, pad^n y) accepted.  With ``prefix`` a (pad,pad)^j prefix
+    # may come first and y must be nonempty and not start with pad; the path
+    # spells pad^j y.  A key's window holds the last <= n letters of y, the
+    # second-track letters still owed, or None before y starts.  Letters are
+    # ranked by the alphabet index of the pair they feed, which d may list
+    # in any order: (g, s) for the owed letter s, or (g, g) when n is 0.
+    rank = {symbol: i for i, symbol in enumerate(d.alphabet)}
 
-    def successors(key):
-        state, window = key
-        for g in inst.gamma:
-            fed = (g, c) if len(window) < n else (g, window[0])
-            nxt_state = d.delta[(state, fed)]
-            if nxt_state in live:
-                nxt_window = window + (g,) if len(window) < n else window[1:] + (g,)
-                yield g, (nxt_state, nxt_window)
+    def ranked(pairs):
+        return [g for g, _ in sorted((p for p in pairs if p in rank), key=rank.get)]
 
-    def completion_accepts(key) -> bool:
-        state, window = key
-        for _ in range(n - len(window)):
-            state = d.delta[(state, (c, c))]
-        for owed in window:
-            state = d.delta[(state, (c, owed))]
-        return state in d.finals
+    owed = {s: ranked((g, s) for g in letters) for s in (pad, *letters)}
+    diagonal = ranked((g, g) for g in letters)
 
-    return _search((d.start, ()), successors, completion_accepts,
-                   max_depth=max_x_len)
+    def search(n: int, max_depth: Optional[int], prefix: bool = False) -> Optional[Word]:
+        def successors(key):
+            state, window = key
+            waiting = window is None
+            if waiting:
+                window = ()
+            firsts = diagonal if n == 0 else owed[window[0] if len(window) == n else pad]
+            for g in firsts:
+                window_after = window + (g,)
+                if len(window_after) > n:
+                    fed, window_after = (g, window_after[0]), window_after[1:]
+                else:
+                    fed = (g, pad)
+                nxt = d.delta[(state, fed)]
+                if nxt in live:
+                    yield g, (nxt, None if waiting and g == pad else window_after)
+
+        def flush_accepts(key) -> bool:
+            state, window = key
+            if window is None:
+                return False
+            for fed in [(pad, pad)] * (n - len(window)) + [(pad, s) for s in window]:
+                state = d.delta.get((state, fed))
+                if state is None:
+                    return False
+            return state in d.finals
+
+        return _search((d.start, None if prefix else ()), successors, flush_accepts,
+                       max_depth=max_depth)
+
+    return search
 
 
 def shift_search(inst: ShiftInstance, max_len: int) -> DecisionOutcome:
@@ -199,10 +222,10 @@ def shift_search(inst: ShiftInstance, max_len: int) -> DecisionOutcome:
     n for that x, so output is reproducible.
     """
     d = determinize(inst.automaton)
-    live = co_reachable(d)
+    search = _window_searcher(d, co_reachable(d), inst.c, inst.gamma)
     best = None
     for n in range(1, max_len + 1):
-        x = _shift_search_at(inst, d, live, n, max_len)
+        x = search(n, max_len)
         if x is None:
             continue
         key = (len(x), tuple(inst.gamma.index(g) for g in x), n)

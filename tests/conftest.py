@@ -1,12 +1,17 @@
 """Shared test helpers: independent acceptance oracle, brute-force word
-enumeration, and seeded random generators for automata and rewriting systems.
+enumeration, seeded random generators for automata and rewriting systems,
+and reference procedures that faster algorithms replaced.
 """
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from wordshift.automata import EPSILON, Dfa, Nfa, complement, product
+from wordshift.automata import (EPSILON, Dfa, Nfa, accepted_words, complement,
+                                product)
+from wordshift.outcome import unknown, yes
+from wordshift.procedures import base_k_value
 from wordshift.rewriting import RewritingSystem
 from wordshift.words import primitive_root
 
@@ -117,3 +122,24 @@ def rand_system(rng, alphabet=("a", "b"), max_rules=3, max_side=2):
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+def scan_power_search(m, k, max_len):
+    """Reference power search: scan every accepted word up to max_len in
+    length-then-lex order and return the first whose track quotient is a
+    power of k.  Exponential in max_len; keep k^2 and max_len small."""
+    for word in accepted_words(m, max_len):
+        p = base_k_value((u for (u, _v) in word), k)
+        q = base_k_value((v for (_u, v) in word), k)
+        if q == 0:
+            continue
+        ratio = Fraction(p, q)
+        if ratio.denominator != 1 or ratio.numerator < 1:
+            continue
+        value, i = ratio.numerator, 0
+        while value % k == 0:
+            value //= k
+            i += 1
+        if value == 1:
+            return yes(i=i, word=word, numerator=p, denominator=q)
+    return unknown(bound=max_len)

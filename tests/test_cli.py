@@ -1,8 +1,12 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wordshift
 from wordshift.cli import main
 
 AB_SYSTEM = "alphabet: a b\nrule: a -> b\n"
@@ -297,7 +301,7 @@ def test_jobs_clamped_and_rejected(run, monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr("wordshift.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     path = run.write("ab.rs", AB_SYSTEM)
     _, serial, _ = run("search", "rewrite-power", path, "--max-n", "5")
@@ -315,3 +319,15 @@ def test_jobs_clamped_and_rejected(run, monkeypatch):
     assert (code, out) == (1, "")
     assert err == "wordshift: a and b must be alphabet atoms\n"
     assert sizes == [3, 2]
+
+
+def test_import_leaves_process_pool_unloaded():
+    # Only --jobs > 1 needs concurrent.futures; every CLI process imports cli.
+    src = os.path.dirname(os.path.dirname(wordshift.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wordshift.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

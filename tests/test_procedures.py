@@ -21,7 +21,7 @@ from wordshift.regex import alt, lit, regex_assemble, star
 from wordshift.words import are_conjugates, convolve, primitive_root
 
 from conftest import (all_words, language, product_completions, rand_dfa,
-                      rand_nfa, w)
+                      rand_nfa, scan_power_search, w)
 
 AB = ("a", "b")
 
@@ -279,6 +279,42 @@ def test_power_search_monotone_in_bound():
     assert first_yes.is_yes
     for extra in (3, 6):
         assert accepts_power_search(m, 2, extra).is_yes
+
+
+def test_power_search_rejects_bad_atoms_up_front():
+    # the automaton accepts nothing, so no accepted word ever uses the atom
+    def empty(atoms):
+        return Nfa(pair_alphabet(atoms), {0}, {0}, set(), set())
+
+    with pytest.raises(ValueError, match="'x' is not a digit atom"):
+        accepts_power_search(empty(("0", "1", "x")), 2, 5)
+    with pytest.raises(ValueError, match="digit 2 out of range for base 2"):
+        accepts_power_search(empty(("0", "1", "2")), 2, 5)
+    with pytest.raises(ValueError, match="both have digit value 0"):
+        accepts_power_search(empty(("0", "1", "00")), 2, 5)
+    with pytest.raises(ValueError, match="pair symbols"):
+        accepts_power_search(Nfa(("0", "1"), {0}, {0}, set(), set()), 2, 5)
+    assert accepts_power_search(empty(("0", "1", "2")), 3, 5).is_unknown
+
+
+def test_power_search_matches_scan():
+    # the windowed search returns exactly the first power word of the scan
+    # it replaced, whatever order the alphabet declares its pairs in
+    rng = random.Random(607)
+    verdicts, exponents = set(), set()
+    for trial in range(180):
+        k = 2 if trial % 2 else 3
+        alphabet = list(pair_alphabet([str(d) for d in range(k)]))
+        if trial % 3 == 0:
+            rng.shuffle(alphabet)
+        m = rand_nfa(rng, rng.randint(1, 4), tuple(alphabet), edge_p=0.3)
+        max_len = 6 if k == 2 else 5
+        out = accepts_power_search(m, k, max_len)
+        assert out == scan_power_search(m, k, max_len)
+        verdicts.add(out.verdict)
+        if out.is_yes:
+            exponents.add(out.witness["i"])
+    assert verdicts == {"yes", "unknown"} and max(exponents) >= 1
 
 
 def test_long_witness_language_family():

@@ -13,7 +13,7 @@ from wordshift.reductions import (Morphism, ShiftInstance, binary_morphism,
 from wordshift.rewriting import RewritingSystem, one_step, reachable
 from wordshift.words import convolve, project
 
-from conftest import all_words, rand_nfa, rand_system, w
+from conftest import all_words, rand_nfa, rand_system, scan_power_search, w
 
 A_TO_B = RewritingSystem(("a", "b"), [(w("a"), w("b"))])
 
@@ -215,18 +215,36 @@ def test_recode_binary_instance():
 def test_recode_binary_feeds_base_two_power_search():
     from wordshift.procedures import accepts_power_search, base_k_value
     from fractions import Fraction
-    inst = recode_binary(A_TO_B, "a", "b")
-    out = accepts_power_search(inst.automaton, 2, 28)
-    assert out.is_yes
-    word = out.witness["word"]
-    p = base_k_value([u for (u, _v) in word], 2)
-    q = base_k_value([v for (_u, v) in word], 2)
-    assert Fraction(p, q) == Fraction(2) ** out.witness["i"]
-    # the first power witness is the block-coded shift witness itself
-    phi = binary_morphism(A_TO_B, "a", "b")
-    coded_x = phi.apply(("_d0", "a", "_d0", "b", "_d0"))
-    pad = phi["c"] * 2
-    assert word == convolve(coded_x + pad, pad + coded_x)
+    two_steps = RewritingSystem(("a", "x", "b"), [(w("a"), w("x")), (w("x"), w("b"))])
+    d = "_d0"
+    for s, max_len, x in ((A_TO_B, 28, (d, "a", d, "b", d)),
+                          (two_steps, 50, (d, "a", d, "x", d, "b", d))):
+        inst = recode_binary(s, "a", "b")
+        out = accepts_power_search(inst.automaton, 2, max_len)
+        assert out.is_yes and out == scan_power_search(inst.automaton, 2, max_len)
+        word = out.witness["word"]
+        p = base_k_value([u for (u, _v) in word], 2)
+        q = base_k_value([v for (_u, v) in word], 2)
+        assert Fraction(p, q) == Fraction(2) ** out.witness["i"]
+        # the first power witness is the block-coded shift witness itself
+        shift = shift_search(rewrite_to_shift(s, "a", "b"), 10).witness
+        assert (shift["x"], shift["n"]) == (x, 2)
+        phi = binary_morphism(s, "a", "b")
+        coded_x = phi.apply(x)
+        pad = phi["c"] * 2
+        assert word == convolve(coded_x + pad, pad + coded_x)
+
+
+def test_power_search_matches_scan_on_systems():
+    from wordshift.procedures import accepts_power_search
+    rng = random.Random(505)
+    verdicts = set()
+    for _ in range(24):
+        power = shift_to_power(rewrite_to_shift(rand_system(rng), "a", "b"))
+        out = accepts_power_search(power.automaton, power.k, 7)
+        assert out == scan_power_search(power.automaton, power.k, 7)
+        verdicts.add(out.verdict)
+    assert verdicts == {"yes", "unknown"}
 
 
 def test_general_shift_restrict_diagonal():
