@@ -174,10 +174,12 @@ class Dfa:
         return state
 
     def accepts(self, word: Iterable[Symbol]) -> bool:
+        state = self.start
         for symbol in word:
             if symbol not in self._index:
                 raise ValueError(f"symbol {symbol!r} not in alphabet")
-        return self.run(self.start, word) in self.finals
+            state = self.delta[(state, symbol)]
+        return state in self.finals
 
     def to_nfa(self) -> Nfa:
         transitions = {(q, s, r) for (q, s), r in self.delta.items()}

@@ -168,26 +168,13 @@ def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = None) -> Deci
 
 
 def _least_word_of_length(m: Dfa, length: int) -> Optional[Word]:
-    # Greedy descent: keep the least symbol that still allows completing to
-    # an accepted word of exactly the remaining length.
-    acceptable = [frozenset(m.finals)]
-    for _ in range(length):
-        prev = acceptable[-1]
-        acceptable.append(frozenset(
-            q for q in m.states
-            if any(m.delta[(q, s)] in prev for s in m.alphabet)))
-    if m.start not in acceptable[length]:
-        return None
-    word = []
-    state = m.start
-    for remaining in range(length - 1, -1, -1):
-        for symbol in m.alphabet:
-            nxt = m.delta[(state, symbol)]
-            if nxt in acceptable[remaining]:
-                word.append(symbol)
-                state = nxt
-                break
-    return tuple(word)
+    # Keys are (state, letters read); every goal lies at depth ``length``, so
+    # the length-then-lex least path is the least accepted word of that length.
+    return _search((m.start, 0),
+                   lambda key: [(s, (m.delta[(key[0], s)], key[1] + 1))
+                                for s in m.alphabet],
+                   lambda key: key[1] == length and key[0] in m.finals,
+                   max_depth=length)
 
 
 def accepts_non_conjugates(m: Dfa) -> DecisionOutcome:

@@ -119,6 +119,16 @@ def one_step_language(s: RewritingSystem, base=None) -> Nfa:
     return regex_assemble(_one_step_regex(s), pair_alphabet(base))
 
 
+def _delimiter_and_padding(s: RewritingSystem, a: Atom, b: Atom):
+    """The fresh delimiter d and the padding letter c of the shift encoding;
+    :func:`recode_binary` is its block image only because both use these."""
+    if a not in s.alphabet or b not in s.alphabet:
+        raise ValueError("a and b must be alphabet atoms")
+    d = fresh_atom(set(s.alphabet) | {"c"})
+    taken = set(s.alphabet) | {d}
+    return d, ("c" if "c" not in taken else fresh_atom(taken, "_c"))
+
+
 def rewrite_to_shift(s: RewritingSystem, a: Atom, b: Atom) -> ShiftInstance:
     """Encode "a^(n-1) rewrites to b^(n-1)" as shift acceptance.
 
@@ -131,11 +141,8 @@ def rewrite_to_shift(s: RewritingSystem, a: Atom, b: Atom) -> ShiftInstance:
     whose shifted-by-c^n fixed points spell out derivations from a-blocks to
     b-blocks.
     """
-    if a not in s.alphabet or b not in s.alphabet:
-        raise ValueError("a and b must be alphabet atoms")
-    d = fresh_atom(set(s.alphabet) | {a, b, "c"})
+    d, c = _delimiter_and_padding(s, a, b)
     gamma = s.alphabet + (d,)
-    c = "c" if "c" not in set(gamma) else fresh_atom(set(gamma) | {a, b}, "_c")
     expr = seq(
         lit([(d, c)]),
         plus(one_of((a, c))),
@@ -275,11 +282,7 @@ def shift_to_power(inst: ShiftInstance, digit_cap: int = 8) -> PowerInstance:
 
 
 def _binary_pieces(s: RewritingSystem, a: Atom, b: Atom):
-    if a not in s.alphabet or b not in s.alphabet:
-        raise ValueError("a and b must be alphabet atoms")
-    d = fresh_atom(set(s.alphabet) | {a, b, "c"})
-    c = "c" if "c" not in set(s.alphabet) | {d} else \
-        fresh_atom(set(s.alphabet) | {d, a, b}, "_c")
+    d, c = _delimiter_and_padding(s, a, b)
     # The delimiter joins the enumeration, so every block (including the
     # padding image) shares one uniform length and stays uniquely decodable.
     phi = block_morphism(s.alphabet + (d,), c)

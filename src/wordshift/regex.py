@@ -2,90 +2,19 @@
 
 Just enough algebra to write the languages the constructions need verbatim:
 symbol-set atoms, literal words, concatenation, union, star and plus.
-Expressions are plain frozen dataclasses; ``regex_assemble`` compiles one to
-an :class:`~wordshift.automata.Nfa` over a caller-supplied alphabet by the
-usual inductive construction with spontaneous moves.
+
+An expression is a fragment builder: a function that takes a ``_Builder``,
+allocates its entry and exit states, wires its fragment by Thompson's
+inductive construction with spontaneous moves, and returns ``(entry, exit)``.
+Every fragment allocates its entry and exit before its children and builds
+the children in argument order; that order fixes the state ids of the NFA
+that ``regex_assemble`` returns, and so the emitted automata of the
+reductions.  An expression holds no states of its own, so one expression may
+occur several times in a larger one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import EPSILON, Nfa
-
-
-@dataclass(frozen=True)
-class Regex:
-    pass
-
-
-@dataclass(frozen=True)
-class Epsilon(Regex):
-    pass
-
-
-@dataclass(frozen=True)
-class Never(Regex):
-    """The empty language."""
-
-
-@dataclass(frozen=True)
-class OneOf(Regex):
-    """A single symbol drawn from a finite set."""
-    symbols: tuple
-
-
-@dataclass(frozen=True)
-class Literal(Regex):
-    """A fixed word."""
-    word: tuple
-
-
-@dataclass(frozen=True)
-class Concat(Regex):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Alt(Regex):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Star(Regex):
-    inner: Regex
-
-
-@dataclass(frozen=True)
-class Plus(Regex):
-    inner: Regex
-
-
-epsilon = Epsilon()
-never = Never()
-
-
-def one_of(*symbols) -> Regex:
-    return OneOf(tuple(symbols)) if symbols else never
-
-
-def lit(word) -> Regex:
-    return Literal(tuple(word))
-
-
-def seq(*parts: Regex) -> Regex:
-    return Concat(tuple(parts)) if parts else epsilon
-
-
-def alt(*parts: Regex) -> Regex:
-    return Alt(tuple(parts)) if parts else never
-
-
-def star(inner: Regex) -> Regex:
-    return Star(inner)
-
-
-def plus(inner: Regex) -> Regex:
-    return Plus(inner)
 
 
 class _Builder:
@@ -100,57 +29,103 @@ class _Builder:
     def edge(self, src, label, dst):
         self.transitions.add((src, label, dst))
 
-    def compile(self, expr: Regex):
-        """Return (entry, exit) of a fragment recognizing expr."""
-        entry, exit_ = self.fresh(), self.fresh()
-        if isinstance(expr, Epsilon):
-            self.edge(entry, EPSILON, exit_)
-        elif isinstance(expr, Never):
-            pass
-        elif isinstance(expr, OneOf):
-            for symbol in expr.symbols:
-                self.edge(entry, symbol, exit_)
-        elif isinstance(expr, Literal):
-            cur = entry
-            for symbol in expr.word:
-                nxt = self.fresh()
-                self.edge(cur, symbol, nxt)
-                cur = nxt
-            self.edge(cur, EPSILON, exit_)
-        elif isinstance(expr, Concat):
-            cur = entry
-            for part in expr.parts:
-                i, o = self.compile(part)
-                self.edge(cur, EPSILON, i)
-                cur = o
-            self.edge(cur, EPSILON, exit_)
-        elif isinstance(expr, Alt):
-            for part in expr.parts:
-                i, o = self.compile(part)
-                self.edge(entry, EPSILON, i)
-                self.edge(o, EPSILON, exit_)
-        elif isinstance(expr, Star):
-            i, o = self.compile(expr.inner)
-            self.edge(entry, EPSILON, exit_)
-            self.edge(entry, EPSILON, i)
-            self.edge(o, EPSILON, exit_)
-            self.edge(o, EPSILON, i)
-        elif isinstance(expr, Plus):
-            i, o = self.compile(expr.inner)
-            self.edge(entry, EPSILON, i)
-            self.edge(o, EPSILON, exit_)
-            self.edge(o, EPSILON, i)
-        else:
-            raise TypeError(f"not a regex node: {expr!r}")
+
+def _fragment(wire):
+    """The expression that allocates (entry, exit), then runs
+    ``wire(builder, entry, exit)`` to build its children and edges."""
+    def build(b: _Builder):
+        entry, exit_ = b.fresh(), b.fresh()
+        wire(b, entry, exit_)
         return entry, exit_
+    return build
 
 
-def regex_assemble(expr: Regex, alphabet) -> Nfa:
+epsilon = _fragment(lambda b, entry, exit_: b.edge(entry, EPSILON, exit_))
+never = _fragment(lambda b, entry, exit_: None)  # the empty language
+
+
+def one_of(*symbols):
+    """A single symbol drawn from a finite set."""
+    if not symbols:
+        return never
+
+    @_fragment
+    def expr(b, entry, exit_):
+        for symbol in symbols:
+            b.edge(entry, symbol, exit_)
+    return expr
+
+
+def lit(word):
+    """A fixed word."""
+    word = tuple(word)
+
+    @_fragment
+    def expr(b, entry, exit_):
+        cur = entry
+        for symbol in word:
+            nxt = b.fresh()
+            b.edge(cur, symbol, nxt)
+            cur = nxt
+        b.edge(cur, EPSILON, exit_)
+    return expr
+
+
+def seq(*parts):
+    if not parts:
+        return epsilon
+
+    @_fragment
+    def expr(b, entry, exit_):
+        cur = entry
+        for part in parts:
+            i, o = part(b)
+            b.edge(cur, EPSILON, i)
+            cur = o
+        b.edge(cur, EPSILON, exit_)
+    return expr
+
+
+def alt(*parts):
+    if not parts:
+        return never
+
+    @_fragment
+    def expr(b, entry, exit_):
+        for part in parts:
+            i, o = part(b)
+            b.edge(entry, EPSILON, i)
+            b.edge(o, EPSILON, exit_)
+    return expr
+
+
+def star(inner):
+    @_fragment
+    def expr(b, entry, exit_):
+        i, o = inner(b)
+        b.edge(entry, EPSILON, exit_)
+        b.edge(entry, EPSILON, i)
+        b.edge(o, EPSILON, exit_)
+        b.edge(o, EPSILON, i)
+    return expr
+
+
+def plus(inner):
+    @_fragment
+    def expr(b, entry, exit_):
+        i, o = inner(b)
+        b.edge(entry, EPSILON, i)
+        b.edge(o, EPSILON, exit_)
+        b.edge(o, EPSILON, i)
+    return expr
+
+
+def regex_assemble(expr, alphabet) -> Nfa:
     """Compile ``expr`` to an NFA whose alphabet is exactly ``alphabet``.
 
     Every symbol used by the expression must appear in the alphabet; the
     alphabet may be larger (the extra symbols simply never occur).
     """
     b = _Builder()
-    entry, exit_ = b.compile(expr)
+    entry, exit_ = expr(b)
     return Nfa(alphabet, range(b.count), {entry}, {exit_}, b.transitions)

@@ -143,3 +143,27 @@ def scan_power_search(m, k, max_len):
         if value == 1:
             return yes(i=i, word=word, numerator=p, denominator=q)
     return unknown(bound=max_len)
+
+
+def layered_least_word_of_length(m, length):
+    """Reference least accepted word of exactly ``length`` letters: layered
+    sets of the states that can still finish in time, then a greedy descent
+    that keeps the least symbol staying inside them."""
+    acceptable = [frozenset(m.finals)]
+    for _ in range(length):
+        prev = acceptable[-1]
+        acceptable.append(frozenset(
+            q for q in m.states
+            if any(m.delta[(q, s)] in prev for s in m.alphabet)))
+    if m.start not in acceptable[length]:
+        return None
+    word = []
+    state = m.start
+    for remaining in range(length - 1, -1, -1):
+        for symbol in m.alphabet:
+            nxt = m.delta[(state, symbol)]
+            if nxt in acceptable[remaining]:
+                word.append(symbol)
+                state = nxt
+                break
+    return tuple(word)

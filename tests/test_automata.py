@@ -184,6 +184,15 @@ def test_with_alphabet_order():
         with_alphabet_order(d, ("a", "c"))
 
 
+def test_accepts_reads_a_one_shot_iterator_once():
+    d = dfa_for(lit(w("a")))
+    for automaton in (d, d.to_nfa()):
+        assert automaton.accepts(iter(w("a")))
+        assert not automaton.accepts(iter(w("ab")))
+        with pytest.raises(ValueError, match="not in alphabet"):
+            automaton.accepts(iter(w("az")))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="undeclared state"):
         Nfa(AB, {0}, {0}, set(), {(0, "a", 1)})

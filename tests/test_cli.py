@@ -259,6 +259,9 @@ GOLDEN_SHA256 = {
     "lang product difference": "7d029f219ff237aaeb5e61756ca678236f06746c50ee8436a085aef322b52f65",
     "gen lt 2": "97289245c02e1bda0e8e5051d38d79d2334f7caf6798555f252cf2b239f9d079",
     "reduce restrict-general-shift": "9672e495799d68076632c308ccf63d69cb54e728bcb0a7adf1f94c810857ba3d",
+    "reduce rewrite-to-shift": "942bf2be4d5f2a12dc164f672081ab40e71cef3abbe8a1804b4551dd1012d484",
+    "reduce recode-binary": "387e7c9b6bbe6b92788abaf3fa5babab69e35416588dede47753ea0ee387841d",
+    "reduce shift-to-power": "6a7dd18a8e3a6a30e829b911c8964a97f82b1b1ff297233683a7eacac74542c6",
     "check long-shift": "4ccf9a063014ec15ea0fdb877967865587882f45a6392f1b5fefeb2957932d89",
 }
 
@@ -269,6 +272,8 @@ def test_golden_output(run, command):
     if words[0] == "lang":
         path = run.write("m.aut", TWO_WORDS)
         argv = words + [path] * (2 if words[1] == "product" else 1)
+    elif words[1] in ("rewrite-to-shift", "recode-binary"):
+        argv = words + [run.write("ab.rs", AB_SYSTEM)]
     elif words[0] == "reduce":
         _, shift, _ = run("reduce", "rewrite-to-shift", run.write("ab.rs", AB_SYSTEM))
         argv = words + [run.write("shift.aut", shift)]

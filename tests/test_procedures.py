@@ -12,7 +12,8 @@ from wordshift.automata import (Nfa, accepted_words, co_reachable,
                                 shortest_word)
 import wordshift
 from wordshift.outcome import DecisionOutcome
-from wordshift.procedures import (accepts_distinct_conjugates,
+from wordshift.procedures import (_least_word_of_length,
+                                  accepts_distinct_conjugates,
                                   accepts_long_shift, accepts_non_conjugates,
                                   accepts_power_search, base_k_value,
                                   long_witness_language, quo_enumerate)
@@ -20,8 +21,9 @@ from wordshift.reductions import ShiftInstance
 from wordshift.regex import alt, lit, regex_assemble, star
 from wordshift.words import are_conjugates, convolve, primitive_root
 
-from conftest import (all_words, language, product_completions, rand_dfa,
-                      rand_nfa, scan_power_search, w)
+from conftest import (all_words, language, layered_least_word_of_length,
+                      product_completions, rand_dfa, rand_nfa,
+                      scan_power_search, w)
 
 AB = ("a", "b")
 
@@ -213,6 +215,16 @@ def test_non_conjugates_matches_brute_force():
             assert len(x) == len(y) and not are_conjugates(x, y)
             assert m.accepts(x) and m.accepts(y)
             assert brute is not None
+
+
+def test_least_word_of_length_matches_layered_descent():
+    rng = random.Random(604)
+    for _ in range(300):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        m = rand_dfa(rng, rng.randint(1, 8), alphabet)
+        for length in range(9):
+            assert (_least_word_of_length(m, length)
+                    == layered_least_word_of_length(m, length))
 
 
 def test_single_word_per_length_gives_double_no():

@@ -16,6 +16,12 @@ from wordshift.words import convolve, project
 from conftest import all_words, rand_nfa, rand_system, scan_power_search, w
 
 A_TO_B = RewritingSystem(("a", "b"), [(w("a"), w("b"))])
+# (system, delimiter, padding letter); in the second system "c" and "_d0"
+# are taken, so both move on.
+DELIMITER_AND_PADDING = [
+    (A_TO_B, "_d0", "c"),
+    (RewritingSystem(("a", "b", "c", "_d0"), [(w("a"), w("b"))]), "_d1", "_c0"),
+]
 
 
 def tiny_instance(accepted_word, gamma=("a", "b"), c="c"):
@@ -40,10 +46,11 @@ def test_one_step_language_matches_one_step():
 
 
 def test_rewrite_to_shift_structure():
-    inst = rewrite_to_shift(A_TO_B, "a", "b")
-    assert inst.gamma == ("a", "b", "_d0")
-    assert inst.c == "c"
-    assert inst.automaton.alphabet == pair_alphabet(("a", "b", "_d0", "c"))
+    for system, d, c in DELIMITER_AND_PADDING:
+        inst = rewrite_to_shift(system, "a", "b")
+        assert inst.gamma == system.alphabet + (d,)
+        assert inst.c == c
+        assert inst.automaton.alphabet == pair_alphabet(system.alphabet + (d, c))
 
 
 def test_rewrite_to_shift_witness():
@@ -179,9 +186,11 @@ def test_block_morphism_injective_and_bordered():
 
 
 def test_binary_morphism_covers_delimiter():
-    phi = binary_morphism(A_TO_B, "a", "b")
-    assert set(phi.images) == {"a", "b", "_d0", "c"}
-    assert phi.image_length() == 4
+    for system, d, c in DELIMITER_AND_PADDING:
+        phi = binary_morphism(system, "a", "b")
+        assert set(phi.images) == set(system.alphabet) | {d, c}
+        assert phi.image_length() == len(system.alphabet) + 2
+        assert phi[c] == ("0",) * phi.image_length()
 
 
 def test_binary_one_step_language():
