@@ -127,8 +127,6 @@ class Nfa:
             if symbol not in self._index:
                 raise ValueError(f"symbol {symbol!r} not in alphabet")
             current = self.step(current, symbol)
-            if not current:
-                return False
         return bool(current & self.finals)
 
     def __repr__(self):
@@ -360,15 +358,8 @@ def co_reachable(a) -> frozenset:
     back: dict = {}
     for (src, _label, dst) in n.transitions:
         back.setdefault(dst, set()).add(src)
-    seen = set(n.finals)
-    todo = list(seen)
-    while todo:
-        q = todo.pop()
-        for r in back.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                todo.append(r)
-    return frozenset(seen)
+    order, _ = _explore(n.finals, lambda q: [(r, r) for r in back.get(q, ())])
+    return frozenset(order)
 
 
 def accepted_words(a, max_len: int) -> Iterator[Word]:

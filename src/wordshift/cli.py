@@ -78,12 +78,12 @@ def _emit_record(outcome: DecisionOutcome, timing=None) -> int:
     print(f"verdict: {outcome.verdict}")
     if outcome.witness:
         for key, value in outcome.witness.items():
-            if isinstance(value, tuple):
+            if key == "steps":
+                value = " ".join(f"{rule}@{pos}" for (rule, pos) in value)
+            elif isinstance(value, tuple):
                 value = format_word(value)
             elif isinstance(value, list):
-                value = " => ".join(format_word(w) for w in value) \
-                    if value and isinstance(value[0], tuple) else \
-                    " ".join(str(v) for v in value)
+                value = " => ".join(format_word(w) for w in value)
             print(f"witness-{key}: {value}")
     if outcome.bound is not None:
         print(f"bound: {outcome.bound}")
@@ -99,10 +99,6 @@ def _emit_automaton(automaton, provenance: str) -> int:
     return 0
 
 
-def _steps_value(steps):
-    return " ".join(f"{rule}@{pos}" for (rule, pos) in steps)
-
-
 def _rewrite_power_job(args):
     system, a, b, n, budget = args
     return n, rewriting.reachable(system, (a,) * n, (b,) * n, budget)
@@ -116,8 +112,7 @@ def _run_rewrite_power(system, a, b, max_n, budget, jobs):
     jobs = min(jobs, max_n, os.cpu_count() or 1)
     if jobs <= 1:
         return rewriting.rewrite_power_search(system, a, b, max_n, budget)
-    if a not in system.alphabet or b not in system.alphabet:
-        raise ValueError("a and b must be alphabet atoms")
+    rewriting._check_letters(system, a, b)
     # Imported here: only --jobs > 1 needs it, and every CLI process would
     # pay for it at start-up.
     from concurrent.futures import ProcessPoolExecutor
@@ -275,10 +270,6 @@ def _dispatch(args) -> int:
             a, b = args.letters
             out = _run_rewrite_power(system, a, b, args.max_n, args.step_budget,
                                      args.jobs)
-            if out.is_yes:
-                witness = dict(out.witness)
-                witness["steps"] = _steps_value(witness["steps"])
-                out = DecisionOutcome("yes", witness=witness)
             return _emit_record(out, timing())
 
     if args.group == "reduce":
@@ -322,10 +313,6 @@ def _dispatch(args) -> int:
             system = _load_rewriting(args.system)
             out = rewriting.reachable(system, parse_word(args.source),
                                       parse_word(args.target), args.step_budget)
-            if out.is_yes:
-                witness = dict(out.witness)
-                witness["steps"] = _steps_value(witness["steps"])
-                out = DecisionOutcome("yes", witness=witness)
             return _emit_record(out, timing())
         if args.op == "membership":
             nfa = _load_automaton(args.automaton)

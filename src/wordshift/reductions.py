@@ -17,7 +17,7 @@ from .automata import (Atom, Dfa, Nfa, Word, _explore, _search, check_atom,
                        co_reachable, determinize, pair_alphabet, product, relabel)
 from .outcome import DecisionOutcome, _check_witness, unknown, yes
 from .regex import alt, lit, one_of, plus, regex_assemble, seq, star
-from .rewriting import RewritingSystem
+from .rewriting import RewritingSystem, _check_letters
 from .words import convolve
 
 
@@ -122,8 +122,7 @@ def one_step_language(s: RewritingSystem, base=None) -> Nfa:
 def _delimiter_and_padding(s: RewritingSystem, a: Atom, b: Atom):
     """The fresh delimiter d and the padding letter c of the shift encoding;
     :func:`recode_binary` is its block image only because both use these."""
-    if a not in s.alphabet or b not in s.alphabet:
-        raise ValueError("a and b must be alphabet atoms")
+    _check_letters(s, a, b)
     d = fresh_atom(set(s.alphabet) | {"c"})
     taken = set(s.alphabet) | {d}
     return d, ("c" if "c" not in taken else fresh_atom(taken, "_c"))

@@ -10,11 +10,10 @@ the existential over n is open-ended.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Atom, Word, check_atom
+from .automata import Atom, Word, _search, check_atom
 from .outcome import DecisionOutcome, no, unknown, yes
 
 LEFT = "L"
@@ -121,6 +120,10 @@ def one_step_labeled(s: RewritingSystem, w: Word):
     return out
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
 def reachable(s: RewritingSystem, frm: Word, to: Word,
               step_budget: Optional[int] = None) -> DecisionOutcome:
     """Decide whether frm rewrites to to (zero or more steps).
@@ -134,31 +137,31 @@ def reachable(s: RewritingSystem, frm: Word, to: Word,
     frm, to = tuple(frm), tuple(to)
     if len(frm) != len(to):
         return no(note="length-preserving rules cannot change word length")
-    if frm == to:
-        return yes(derivation=[frm], steps=[])
-    parent = {frm: None}
-    queue = deque([frm])
-    while queue:
-        w = queue.popleft()
-        for (nxt, rule_idx, pos) in one_step_labeled(s, w):
-            if nxt in parent:
-                continue
-            parent[nxt] = (w, rule_idx, pos)
-            if nxt == to:
-                path = [nxt]
-                steps = []
-                cur = nxt
-                while parent[cur] is not None:
-                    cur, rule_idx, pos = parent[cur]
-                    path.append(cur)
-                    steps.append((rule_idx, pos))
-                path.reverse()
-                steps.reverse()
-                return yes(derivation=path, steps=steps)
-            if step_budget is not None and len(parent) > step_budget:
-                return unknown(bound=step_budget, note="budget")
-            queue.append(nxt)
-    return no(note="exhaustive")
+    visited = 0
+
+    def is_goal(w):
+        # Called once per distinct word, frm first.  frm counts as visited
+        # but never exceeds the budget on its own.
+        nonlocal visited
+        if w == to:
+            return True
+        visited += 1
+        if step_budget is not None and visited > max(step_budget, 1):
+            raise _BudgetSpent
+        return False
+
+    # Each (word, rule, position) step labels its own edge, so the labels
+    # of the path are the derivation.
+    try:
+        path = _search(frm,
+                       lambda w: [(step, step[0]) for step in one_step_labeled(s, w)],
+                       is_goal)
+    except _BudgetSpent:
+        return unknown(bound=step_budget, note="budget")
+    if path is None:
+        return no(note="exhaustive")
+    return yes(derivation=[frm] + [word for (word, _rule, _pos) in path],
+               steps=[(rule, pos) for (_word, rule, pos) in path])
 
 
 def replay_derivation(s: RewritingSystem, derivation, steps) -> bool:
@@ -175,6 +178,11 @@ def replay_derivation(s: RewritingSystem, derivation, steps) -> bool:
     return True
 
 
+def _check_letters(s: RewritingSystem, a: Atom, b: Atom) -> None:
+    if a not in s.alphabet or b not in s.alphabet:
+        raise ValueError("a and b must be alphabet atoms")
+
+
 def rewrite_power_search(s: RewritingSystem, a: Atom, b: Atom, max_n: int,
                          step_budget: Optional[int] = None) -> DecisionOutcome:
     """Search for n in 1..max_n with a^n rewriting to b^n.
@@ -182,8 +190,7 @@ def rewrite_power_search(s: RewritingSystem, a: Atom, b: Atom, max_n: int,
     Semi-decision: a yes is definitive (and replayable), while exhausting
     max_n only means unknown, never no.
     """
-    if a not in s.alphabet or b not in s.alphabet:
-        raise ValueError("a and b must be alphabet atoms")
+    _check_letters(s, a, b)
     for n in range(1, max_n + 1):
         out = reachable(s, (a,) * n, (b,) * n, step_budget)
         if out.is_yes:

@@ -4,15 +4,16 @@ and reference procedures that faster algorithms replaced.
 """
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from wordshift.automata import (EPSILON, Dfa, Nfa, accepted_words, complement,
                                 product)
-from wordshift.outcome import unknown, yes
+from wordshift.outcome import no, unknown, yes
 from wordshift.procedures import base_k_value
-from wordshift.rewriting import RewritingSystem
+from wordshift.rewriting import RewritingSystem, one_step_labeled
 from wordshift.words import primitive_root
 
 
@@ -167,3 +168,55 @@ def layered_least_word_of_length(m, length):
                 state = nxt
                 break
     return tuple(word)
+
+
+def queue_reachable(s, frm, to, step_budget=None):
+    """Reference rewriting reachability: a deque breadth-first search with
+    parent pointers that tests each word as it is discovered and answers
+    unknown when a newly discovered word takes the count of distinct words,
+    frm included, past the budget."""
+    frm, to = tuple(frm), tuple(to)
+    if len(frm) != len(to):
+        return no(note="length-preserving rules cannot change word length")
+    if frm == to:
+        return yes(derivation=[frm], steps=[])
+    parent = {frm: None}
+    queue = deque([frm])
+    while queue:
+        word = queue.popleft()
+        for (nxt, rule_idx, pos) in one_step_labeled(s, word):
+            if nxt in parent:
+                continue
+            parent[nxt] = (word, rule_idx, pos)
+            if nxt == to:
+                path = [nxt]
+                steps = []
+                cur = nxt
+                while parent[cur] is not None:
+                    cur, rule_idx, pos = parent[cur]
+                    path.append(cur)
+                    steps.append((rule_idx, pos))
+                path.reverse()
+                steps.reverse()
+                return yes(derivation=path, steps=steps)
+            if step_budget is not None and len(parent) > step_budget:
+                return unknown(bound=step_budget, note="budget")
+            queue.append(nxt)
+    return no(note="exhaustive")
+
+
+def dfs_co_reachable(nfa):
+    """Reference co-reachability: a depth-first walk from the finals over
+    the reversed transitions."""
+    back = {}
+    for (src, _label, dst) in nfa.transitions:
+        back.setdefault(dst, set()).add(src)
+    seen = set(nfa.finals)
+    todo = list(seen)
+    while todo:
+        q = todo.pop()
+        for r in back.get(q, ()):
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return frozenset(seen)

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from wordshift.automata import (EPSILON, Dfa, Nfa, accepted_words, complement,
-                                determinize, is_empty, is_subset, minimize,
-                                pair_alphabet, product, relabel, shortest_word,
-                                with_alphabet_order)
+from wordshift.automata import (EPSILON, Dfa, Nfa, accepted_words, co_reachable,
+                                complement, determinize, is_empty, is_subset,
+                                minimize, pair_alphabet, product, relabel,
+                                shortest_word, with_alphabet_order)
 from wordshift.regex import alt, lit, one_of, regex_assemble, star
 
-from conftest import all_words, language, oracle_accepts, rand_dfa, rand_nfa, w
+from conftest import (all_words, dfs_co_reachable, language, oracle_accepts,
+                      rand_dfa, rand_nfa, w)
 
 AB = ("a", "b")
 
@@ -108,6 +109,7 @@ def test_shortest_word_is_least_accepted():
     rng = random.Random(105)
     for _ in range(40):
         n = rand_nfa(rng, 4, AB)
+        assert co_reachable(n) == dfs_co_reachable(n)
         best = shortest_word(n)
         enumerated = [word for word in all_words(AB, 6) if oracle_accepts(n, word)]
         if best is None or len(best) > 6:
@@ -118,6 +120,7 @@ def test_shortest_word_is_least_accepted():
     # singleton sets must find the same word
     for _ in range(40):
         d = rand_dfa(rng, 5, AB, final_p=0.2)
+        assert co_reachable(d) == dfs_co_reachable(d.to_nfa())
         assert shortest_word(d) == shortest_word(d.to_nfa())
 
 
@@ -191,6 +194,11 @@ def test_accepts_reads_a_one_shot_iterator_once():
         assert not automaton.accepts(iter(w("ab")))
         with pytest.raises(ValueError, match="not in alphabet"):
             automaton.accepts(iter(w("az")))
+    # A partial NFA still checks every symbol after its subset empties.
+    partial = Nfa(AB, {0, 1}, {0}, {1}, {(0, "a", 1)})
+    for automaton in (partial, determinize(partial)):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            automaton.accepts(iter(w("bz")))
 
 
 def test_validation_errors():

@@ -263,6 +263,9 @@ GOLDEN_SHA256 = {
     "reduce recode-binary": "387e7c9b6bbe6b92788abaf3fa5babab69e35416588dede47753ea0ee387841d",
     "reduce shift-to-power": "6a7dd18a8e3a6a30e829b911c8964a97f82b1b1ff297233683a7eacac74542c6",
     "check long-shift": "4ccf9a063014ec15ea0fdb877967865587882f45a6392f1b5fefeb2957932d89",
+    "search rewrite-power --max-n 5": "c20636f3a59025b77a3f539b22eb2ffae51f5c717626d27924cec07b913bacfe",
+    "oracle reachable aaa bbb": "2f625d0db147b8a3a908dfd2bcd5b4e6ea4060a51172bd5903bb238190885c5b",
+    "oracle reachable ab aa": "e6c4bcd36814ba3fcc306cd442b6f4c8bac5eb0482c13e413434f333132a7bb2",
 }
 
 
@@ -279,6 +282,11 @@ def test_golden_output(run, command):
         argv = words + [run.write("shift.aut", shift)]
     elif words[0] == "check":
         argv = words + [run.write("ls.aut", LONG_SHIFT)]
+    elif words[0] == "search":
+        _, system, _ = run("reduce", "tm-to-rewrite", run.write("halt.tm", HALT_TM))
+        argv = words + [run.write("halt.rs", system)]
+    elif words[0] == "oracle":
+        argv = words[:2] + [run.write("ab.rs", AB_SYSTEM)] + words[2:]
     else:
         argv = words
     code, out, _ = run(*argv)

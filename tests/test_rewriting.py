@@ -7,7 +7,7 @@ from wordshift.rewriting import (RewritingSystem, TuringMachine, one_step,
                                  replay_derivation, rewrite_power_search,
                                  tm_run, tm_to_rewriting)
 
-from conftest import all_words, rand_system, w
+from conftest import all_words, queue_reachable, rand_system, w
 
 A_TO_B = RewritingSystem(("a", "b"), [(w("a"), w("b"))])
 AA_TO_BB = RewritingSystem(("a", "b"), [(w("aa"), w("bb"))])
@@ -88,6 +88,24 @@ def test_reachable_zero_steps_and_length_guard():
 def test_reachable_budget_truncation():
     out = reachable(SWAP, w("aaab"), w("baaa"), step_budget=2)
     assert out.is_unknown and out.bound == 2
+
+
+def test_reachable_matches_queue_search():
+    # The deque search that reachable replaced stays as the oracle: the
+    # whole outcome, derivation and budget cutoffs included, must agree.
+    rng = random.Random(402)
+    verdicts = set()
+    for _ in range(120):
+        alphabet = ("a", "b", "c")[:rng.randint(2, 3)]
+        s = rand_system(rng, alphabet, max_rules=4)
+        length = rng.randint(0, 5)
+        frm = tuple(rng.choice(alphabet) for _ in range(length))
+        to = tuple(rng.choice(alphabet) for _ in range(length))
+        for budget in (None, -1, 0, 1, 2, 3, 5):
+            out = reachable(s, frm, to, budget)
+            assert out == queue_reachable(s, frm, to, budget)
+            verdicts.add(out.verdict)
+    assert verdicts == {"yes", "no", "unknown"}
 
 
 def test_rewrite_power_search_examples():
