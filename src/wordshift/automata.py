@@ -114,6 +114,10 @@ class Nfa:
                     todo.append(r)
         return frozenset(seen)
 
+    def _after(self, state: int, symbol: Symbol) -> frozenset:
+        """The closed set of states one ``symbol`` move leads to from ``state``."""
+        return self.closure(self._moves.get((state, symbol), ()))
+
     def step(self, subset: frozenset, symbol: Symbol) -> frozenset:
         """One closed transition step on a closed subset."""
         out = set()
@@ -211,29 +215,39 @@ def _explore(starts, successors):
     return order, delta
 
 
-def _search(start, successors, is_goal, max_depth=None):
-    """Length-then-lex least path from ``start`` to a key with ``is_goal``.
+def _search(starts, successors, is_goal, max_depth=None, labels=()):
+    """Length-then-lex least path from ``starts`` to a key with ``is_goal``.
 
-    Walks breadth-first in :func:`_explore`'s discovery order, testing the
-    start first and every other key as it is discovered, and returns the
-    labels of the path to the first goal found, or None.  When
-    ``successors(key)`` yields its ``(label, key)`` pairs in alphabet order,
-    that path is the length-then-lex least one.  ``max_depth`` caps the path
-    length.  There is exactly one start key: a walk seeded with several keys
-    still finds the shortest length, but it orders each level by start key
-    first, so its word need not be the lex-least.  That is why searches on
-    an NFA walk sets of states.
+    Walks breadth-first, testing the start keys first and every other key
+    as it is discovered, and returns the labels of the path to the first
+    goal found, or None; no start keys means no path.  ``max_depth`` caps
+    the path length.  Keys that the same word first reaches form a group;
+    the start keys are one.  A one-key group takes its edges in
+    ``successors`` order, a larger one its keys' edges stably sorted by
+    ``labels`` order (KeyError on a label not there), and the new keys one
+    group reaches by one label form a group of the next level.  So when
+    ``successors`` yields its ``(label, key)`` pairs in alphabet order, the
+    order ``labels`` lists, each level stays ordered by word and the path
+    is the length-then-lex least one, on nondeterministic edges too.  Any
+    key of a group stands for the group in the parent links.
     """
-    if is_goal(start):
+    starts = list(dict.fromkeys(starts))
+    if any(is_goal(key) for key in starts):
         return ()
-    parent = {start: None}
-    level = [start]
+    rank = {label: i for i, label in enumerate(labels)}
+    parent = dict.fromkeys(starts)
+    level = [starts] if starts else []
     depth = 0
     while level and (max_depth is None or depth < max_depth):
         depth += 1
         next_level = []
-        for key in level:
-            for label, nxt in successors(key):
+        for group in level:
+            key = group[0]
+            edges = successors(key) if len(group) == 1 else sorted(
+                [edge for k in group for edge in successors(k)],
+                key=lambda edge: rank[edge[0]])
+            reached = {}
+            for label, nxt in edges:
                 if nxt in parent:
                     continue
                 parent[nxt] = (key, label)
@@ -243,7 +257,8 @@ def _search(start, successors, is_goal, max_depth=None):
                         nxt, label = parent[nxt]
                         word.append(label)
                     return tuple(reversed(word))
-                next_level.append(nxt)
+                reached.setdefault(label, []).append(nxt)
+            next_level.extend(reached.values())
         level = next_level
     return None
 
@@ -288,35 +303,29 @@ def complement(a: Dfa) -> Dfa:
     return Dfa(a.alphabet, a.states, a.start, a.states - a.finals, a.delta)
 
 
-def _as_nfa(a) -> Nfa:
-    return a.to_nfa() if isinstance(a, Dfa) else a
-
-
 def is_empty(a) -> bool:
     """True iff the automaton accepts no word.  Plain graph reachability."""
-    n = _as_nfa(a)
-    return n._start_closure.isdisjoint(co_reachable(n))
+    return shortest_word(a) is None
 
 
 def shortest_word(a) -> Optional[Word]:
     """A minimum-length accepted word, lexicographically least among those.
 
-    A DFA is searched over its states, an NFA over its nonempty closed
-    subsets.  Returns None on the empty language.
+    Walks the automaton's own states; an NFA's walk starts from its closed
+    start set and moves to closed targets.  None on the empty language.
     """
     if isinstance(a, Dfa):
-        return _search(a.start,
+        return _search([a.start],
                        lambda q: [(s, a.delta[(q, s)]) for s in a.alphabet],
                        a.finals.__contains__)
     return _search(a._start_closure,
-                   lambda subset: [(s, nxt) for s in a.alphabet
-                                   if (nxt := a.step(subset, s))],
-                   lambda subset: not a.finals.isdisjoint(subset))
+                   lambda q: [(s, r) for s in a.alphabet for r in a._after(q, s)],
+                   a.finals.__contains__, labels=a.alphabet)
 
 
 def is_subset(a: Dfa, b: Dfa):
     """Language inclusion test; on failure also returns a shortest word in a - b."""
-    witness = _search((a.start, b.start), _pair_successors(a, b),
+    witness = _search([(a.start, b.start)], _pair_successors(a, b),
                       lambda pair: pair[0] in a.finals and pair[1] not in b.finals)
     return (witness is None, witness)
 
@@ -354,11 +363,12 @@ def minimize(d: Dfa) -> Dfa:
 
 def co_reachable(a) -> frozenset:
     """States from which some final state is reachable."""
-    n = _as_nfa(a)
+    edges = ([(src, dst) for (src, _s), dst in a.delta.items()] if isinstance(a, Dfa)
+             else [(src, dst) for (src, _label, dst) in a.transitions])
     back: dict = {}
-    for (src, _label, dst) in n.transitions:
+    for src, dst in edges:
         back.setdefault(dst, set()).add(src)
-    order, _ = _explore(n.finals, lambda q: [(r, r) for r in back.get(q, ())])
+    order, _ = _explore(a.finals, lambda q: [(r, r) for r in back.get(q, ())])
     return frozenset(order)
 
 
@@ -369,7 +379,7 @@ def accepted_words(a, max_len: int) -> Iterator[Word]:
     to the number of live prefixes rather than |alphabet|^max_len.  Prefixes
     whose state set cannot reach a final state are pruned.
     """
-    n = _as_nfa(a)
+    n = a.to_nfa() if isinstance(a, Dfa) else a
     live = co_reachable(n)
     level = [((), n._start_closure & live)]
     if not level[0][1]:

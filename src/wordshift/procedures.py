@@ -8,6 +8,7 @@ procedures never answer unknown, and the bounded searches never answer no.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -24,34 +25,35 @@ from .words import are_conjugates, convolve, primitive_root
 def accepts_long_shift(inst: ShiftInstance) -> DecisionOutcome:
     """Exact test for a witness x c^n convolved with c^n x where n >= |x|.
 
-    Searches sets of (p, pivot, r) triples over gamma: a guessed pivot
-    state, one track simulating the determinized instance on (letter, c)
-    pairs from the start, one simulating it on (c, letter) pairs from the
-    pivot.  A word x is found when some triple has the second simulation
-    final and the first at a state with an all-(c,c) path to the pivot; the
-    path length supplies n - |x|.
+    Searches (p, pivot, r) triples of the instance's own states over gamma,
+    from every (start, q, q): a guessed pivot state q, one track running the
+    instance on (letter, c) pairs from a start state, one running it on
+    (c, letter) pairs from the pivot.  A word x is found when some triple
+    has the second track final and the first at a state with an all-(c,c)
+    path to the pivot; the path length supplies n - |x|.
     """
-    d = determinize(inst.automaton)
+    a = inst.automaton
     c = inst.c
     cc = (c, c)
-    # cc_reach[p] = set of states reachable from p along (c,c) edges.
-    cc_reach = {p: frozenset(_explore([p], lambda q: [(cc, d.delta[(q, cc)])])[0])
-                for p in d.states}
+    # cc_reach[p] = set of states reachable from p along (c,c) moves.
+    cc_reach = {p: frozenset(_explore([p], lambda q: [(r, r) for r in a._after(q, cc)])[0])
+                for p in a.states}
 
-    def successors(triples):
+    def successors(triple):
+        p, pivot, r = triple
         for g in inst.gamma:
-            yield g, frozenset((d.delta[(p, (g, c))], pivot, d.delta[(r, (c, g))])
-                               for p, pivot, r in triples)
+            for p_next, r_next in itertools.product(a._after(p, (g, c)), a._after(r, (c, g))):
+                yield g, (p_next, pivot, r_next)
 
-    x = _search(frozenset((d.start, q, q) for q in d.states), successors,
-                lambda triples: any(r in d.finals and pivot in cc_reach[p]
-                                    for p, pivot, r in triples))
+    x = _search([(s, q, q) for s in a._start_closure for q in a.states], successors,
+                lambda triple: triple[2] in a.finals and triple[1] in cc_reach[triple[0]],
+                labels=inst.gamma)
     if x is None:
         return no()
-    # Smallest admissible n for this x: extend the padding block until the
-    # convolution is accepted; some n <= |x| + |d.states| must work.
+    # Smallest admissible n for this x.  A shortest (c,c) path enters each
+    # state at most once, so some n <= |x| + |states| works.
     m = len(x)
-    for n in range(m, m + len(d.states) + 1):
+    for n in range(m, m + len(a.states) + 1):
         word = convolve(x + (c,) * n, (c,) * n + x)
         if inst.automaton.accepts(word):
             return yes(x=x, n=n, word=word)
@@ -64,7 +66,7 @@ _NO_ROOT = (None,)
 
 def _completion_search(m: Dfa, p: int, before: frozenset, root: Word) -> Optional[Word]:
     # Least y outside root* with run(p, y) final and run(start, y) in before.
-    return _search((p, m.start, 0), _completion_successors(m, root),
+    return _search([(p, m.start, 0)], _completion_successors(m, root),
                    lambda key: key[0] in m.finals and key[1] in before and key[2] != 0)
 
 
@@ -170,7 +172,7 @@ def accepts_distinct_conjugates(m: Dfa, state_cap: Optional[int] = None) -> Deci
 def _least_word_of_length(m: Dfa, length: int) -> Optional[Word]:
     # Keys are (state, letters read); every goal lies at depth ``length``, so
     # the length-then-lex least path is the least accepted word of that length.
-    return _search((m.start, 0),
+    return _search([(m.start, 0)],
                    lambda key: [(s, (m.delta[(key[0], s)], key[1] + 1))
                                 for s in m.alphabet],
                    lambda key: key[1] == length and key[0] in m.finals,
@@ -267,8 +269,7 @@ def accepts_power_search(m: Nfa, k: int, max_len: int) -> DecisionOutcome:
                 raise ValueError(f"atoms {atom_of[value]!r} and {atom!r} both have "
                                  f"digit value {value}")
     zero = atom_of.get(0)
-    d = determinize(m)
-    search = _window_searcher(d, co_reachable(d), zero, tuple(atom_of.values()))
+    search = _window_searcher(determinize(m), zero, tuple(atom_of.values()))
     best = None
     for i in range(max_len):
         bound = max_len if best is None else len(best[1])

@@ -166,11 +166,10 @@ def shift_search_at(inst: ShiftInstance, n: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = determinize(inst.automaton)
-    return _window_searcher(d, co_reachable(d), inst.c, inst.gamma)(n, max_x_len)
+    return _window_searcher(determinize(inst.automaton), inst.c, inst.gamma)(n, max_x_len)
 
 
-def _window_searcher(d: Dfa, live: frozenset, pad: Atom, letters):
+def _window_searcher(d: Dfa, pad: Atom, letters):
     # The rule behind the shift and power searches: search(n, ...) finds the
     # least y over ``letters``, length-then-lex in d's alphabet order, with
     # conv(y pad^n, pad^n y) accepted.  With ``prefix`` a (pad,pad)^j prefix
@@ -179,6 +178,7 @@ def _window_searcher(d: Dfa, live: frozenset, pad: Atom, letters):
     # second-track letters still owed, or None before y starts.  Letters are
     # ranked by the alphabet index of the pair they feed, which d may list
     # in any order: (g, s) for the owed letter s, or (g, g) when n is 0.
+    live = co_reachable(d)
     rank = {symbol: i for i, symbol in enumerate(d.alphabet)}
 
     def ranked(pairs):
@@ -214,7 +214,7 @@ def _window_searcher(d: Dfa, live: frozenset, pad: Atom, letters):
                     return False
             return state in d.finals
 
-        return _search((d.start, None if prefix else ()), successors, flush_accepts,
+        return _search([(d.start, None if prefix else ())], successors, flush_accepts,
                        max_depth=max_depth)
 
     return search
@@ -227,8 +227,7 @@ def shift_search(inst: ShiftInstance, max_len: int) -> DecisionOutcome:
     The witness is the length-then-lex least x over all n, with the smallest
     n for that x, so output is reproducible.
     """
-    d = determinize(inst.automaton)
-    search = _window_searcher(d, co_reachable(d), inst.c, inst.gamma)
+    search = _window_searcher(determinize(inst.automaton), inst.c, inst.gamma)
     best = None
     for n in range(1, max_len + 1):
         x = search(n, max_len)
@@ -366,7 +365,7 @@ def general_shift_restrict(inst: ShiftInstance):
     """
     d = determinize(inst.automaton)
     diagonal = [(g, g) for g in inst.gamma]
-    diagonal_hit = _search(d.start, lambda q: [(s, d.delta[(q, s)]) for s in diagonal],
+    diagonal_hit = _search([d.start], lambda q: [(s, d.delta[(q, s)]) for s in diagonal],
                            d.finals.__contains__) is not None
     restrictor = _projection_constraint_dfa(d.alphabet, inst.gamma, inst.c)
     restricted = product(d, restrictor, "intersect").to_nfa()

@@ -153,7 +153,7 @@ def reachable(s: RewritingSystem, frm: Word, to: Word,
     # Each (word, rule, position) step labels its own edge, so the labels
     # of the path are the derivation.
     try:
-        path = _search(frm,
+        path = _search([frm],
                        lambda w: [(step, step[0]) for step in one_step_labeled(s, w)],
                        is_goal)
     except _BudgetSpent:

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from wordshift.automata import (EPSILON, Dfa, Nfa, accepted_words, complement,
+from wordshift.automata import (EPSILON, Dfa, Nfa, _explore, _search,
+                                accepted_words, complement, determinize,
                                 product)
-from wordshift.outcome import no, unknown, yes
+from wordshift.outcome import WitnessError, no, unknown, yes
 from wordshift.procedures import base_k_value
 from wordshift.rewriting import RewritingSystem, one_step_labeled
-from wordshift.words import primitive_root
+from wordshift.words import convolve, primitive_root
 
 
 def w(text):
@@ -220,3 +221,42 @@ def dfs_co_reachable(nfa):
                 seen.add(r)
                 todo.append(r)
     return frozenset(seen)
+
+
+def subset_shortest_word(nfa):
+    """Reference shortest word of an NFA: a breadth-first search from the
+    one closed start set over the nonempty closed subsets, so each level is
+    ordered by word without any grouping of keys."""
+    return _search([nfa._start_closure],
+                   lambda subset: [(s, nxt) for s in nfa.alphabet
+                                   if (nxt := nfa.step(subset, s))],
+                   lambda subset: not nfa.finals.isdisjoint(subset))
+
+
+def subset_long_shift(inst):
+    """Reference long-shift test: a breadth-first search over sets of
+    (p, pivot, r) triples of the determinized instance, from the one set
+    of every (start, q, q).  Exponential: the sets grow with the
+    transformation monoid of the (c, g) letters, so keep draws small."""
+    d = determinize(inst.automaton)
+    c = inst.c
+    cc = (c, c)
+    cc_reach = {p: frozenset(_explore([p], lambda q: [(cc, d.delta[(q, cc)])])[0])
+                for p in d.states}
+
+    def successors(triples):
+        for g in inst.gamma:
+            yield g, frozenset((d.delta[(p, (g, c))], pivot, d.delta[(r, (c, g))])
+                               for p, pivot, r in triples)
+
+    x = _search([frozenset((d.start, q, q) for q in d.states)], successors,
+                lambda triples: any(r in d.finals and pivot in cc_reach[p]
+                                    for p, pivot, r in triples))
+    if x is None:
+        return no()
+    m = len(x)
+    for n in range(m, m + len(d.states) + 1):
+        word = convolve(x + (c,) * n, (c,) * n + x)
+        if inst.automaton.accepts(word):
+            return yes(x=x, n=n, word=word)
+    raise WitnessError("guessing automaton accepted x but no padding length works")

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from wordshift.automata import (EPSILON, Dfa, Nfa, accepted_words, co_reachable,
-                                complement, determinize, is_empty, is_subset,
-                                minimize, pair_alphabet, product, relabel,
-                                shortest_word, with_alphabet_order)
-from wordshift.regex import alt, lit, one_of, regex_assemble, star
+from wordshift.automata import (EPSILON, Dfa, Nfa, _search, accepted_words,
+                                co_reachable, complement, determinize,
+                                is_empty, is_subset, minimize, pair_alphabet,
+                                product, relabel, shortest_word,
+                                with_alphabet_order)
+from wordshift.regex import alt, lit, one_of, regex_assemble, seq, star
 
 from conftest import (all_words, dfs_co_reachable, language, oracle_accepts,
-                      rand_dfa, rand_nfa, w)
+                      rand_dfa, rand_nfa, subset_shortest_word, w)
 
 AB = ("a", "b")
 
@@ -116,12 +117,61 @@ def test_shortest_word_is_least_accepted():
             assert enumerated == []
         else:
             assert enumerated and enumerated[0] == best
-    # a DFA is searched over its states; the subset search over its
-    # singleton sets must find the same word
+    # a DFA is searched over its delta, the same automaton as an NFA over
+    # its transitions; both walks must agree
     for _ in range(40):
         d = rand_dfa(rng, 5, AB, final_p=0.2)
-        assert co_reachable(d) == dfs_co_reachable(d.to_nfa())
+        assert co_reachable(d) == co_reachable(d.to_nfa()) == dfs_co_reachable(d.to_nfa())
         assert shortest_word(d) == shortest_word(d.to_nfa())
+
+
+def test_shortest_word_matches_subset_search():
+    # Random epsilon-NFAs with several start states: the walk over states
+    # must give the subset search's word, and is_empty its verdict.
+    rng = random.Random(1701)
+    for _ in range(300):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        n = rand_nfa(rng, rng.randint(1, 7), alphabet,
+                     edge_p=rng.choice((0.1, 0.2, 0.3)), eps_p=0.1)
+        drawn = {q for q in n.states if rng.random() < 0.3} or {0}
+        # a start-less NFA, as a file with no start line parses, too
+        for starts in (drawn, set()):
+            n = Nfa(alphabet, n.states, starts, n.finals, n.transitions)
+            expected = subset_shortest_word(n)
+            assert shortest_word(n) == expected
+            assert is_empty(n) == (expected is None)
+        assert expected is None
+
+
+def test_shortest_word_past_the_subset_cliff():
+    # (a|b)*a(a|b)^24 c: a closed subset records which of the last 25
+    # letters were a, so a subset search meets about 2^26 subsets before
+    # length 26; the walk over states meets each state once.
+    ab = one_of("a", "b")
+    n = regex_assemble(seq(star(ab), lit(w("a")), *[ab] * 24, lit(w("c"))),
+                       ("a", "b", "c"))
+    assert shortest_word(n) == w("a" * 25 + "c")
+
+
+def test_search_groups_nondeterministic_edges():
+    edges = {0: [("a", 1), ("a", 2), ("b", 3)], 1: [("b", 4)], 2: [("a", 4)],
+             3: [], 4: []}
+    at_4 = (4).__eq__
+    # 1 and 2 share the word a, so 2's a edge comes before 1's b edge
+    assert _search([0], edges.get, at_4, labels="ab") == w("aa")
+    assert _search([1, 2], edges.get, at_4, labels="ab") == w("a")
+    assert _search([2, 1], edges.get, at_4, labels="ab") == w("a")
+    assert _search([0, 0], edges.get, at_4, labels="ab") == w("aa")
+    assert _search([0], edges.get, at_4, max_depth=0, labels="ab") is None
+    assert _search([0], edges.get, at_4, max_depth=1, labels="ab") is None
+    assert _search([3, 4], edges.get, at_4) == ()
+    assert _search([4], edges.get, at_4, max_depth=0) == ()
+    assert _search([], edges.get, at_4, labels="ab") is None
+    # with no labels a group of several keys cannot be ordered
+    with pytest.raises(KeyError):
+        _search([1, 2], edges.get, at_4)
+    with pytest.raises(KeyError):
+        _search([0], edges.get, at_4)
 
 
 def test_is_subset_examples():

@@ -196,6 +196,10 @@ def test_check_long_shift(run):
     assert code == 0
     fields = record(out)
     assert fields["verdict"] == "yes" and fields["witness-x"] == "a"
+    # with no start line there is no start state, so no witness
+    path = run.write("nostart.aut", LONG_SHIFT.replace("start: 0\n", ""))
+    code, out, _ = run("check", "long-shift", path)
+    assert code == 0 and record(out)["verdict"] == "no"
 
 
 def test_restrict_general_shift(run):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wordshift.automata import (Nfa, accepted_words, co_reachable,
+from wordshift.automata import (EPSILON, Nfa, accepted_words, co_reachable,
                                 determinize, minimize, pair_alphabet,
                                 shortest_word)
 import wordshift
@@ -23,7 +23,7 @@ from wordshift.words import are_conjugates, convolve, primitive_root
 
 from conftest import (all_words, language, layered_least_word_of_length,
                       product_completions, rand_dfa, rand_nfa,
-                      scan_power_search, w)
+                      scan_power_search, subset_long_shift, w)
 
 AB = ("a", "b")
 
@@ -86,6 +86,60 @@ def test_long_shift_matches_brute_force():
             assert n >= len(x)
             assert inst.automaton.accepts(convolve(
                 x + (inst.c,) * n, (inst.c,) * n + x))
+
+
+def rand_shift_instance(rng, n_states, gamma, edge_p, eps_p=0.08):
+    # Epsilon-NFA with one final state and several start states.  (c,c)
+    # moves are rarer than the others, so that fewer witnesses have an
+    # empty x.
+    pa = pair_alphabet(gamma + ("c",))
+    transitions = set()
+    for src in range(n_states):
+        for s in pa + (EPSILON,):
+            p = eps_p if s is EPSILON else edge_p / 3 if s == ("c", "c") else edge_p
+            transitions.update((src, s, dst) for dst in range(n_states) if rng.random() < p)
+    starts = {0} | {q for q in range(n_states) if rng.random() < 0.2}
+    return ShiftInstance(gamma, "c", Nfa(pa, range(n_states), starts, {n_states - 1},
+                                         transitions))
+
+
+def test_long_shift_matches_subset_search():
+    # Whole outcomes, witness and n included.  Keep the draws small: the
+    # oracle's sets of triples blow up on larger ones.
+    rng = random.Random(602)
+    for _ in range(300):
+        inst = rand_shift_instance(rng, rng.randint(2, 5), ("a", "b")[:rng.randint(1, 2)],
+                                   rng.choice((0.2, 0.3)))
+        assert accepts_long_shift(inst) == subset_long_shift(inst)
+        a = inst.automaton
+        startless = ShiftInstance(inst.gamma, inst.c,
+                                  Nfa(a.alphabet, a.states, (), a.finals, a.transitions))
+        assert accepts_long_shift(startless).is_no
+        assert subset_long_shift(startless).is_no
+
+
+def shift_cliff_instance(n, seed):
+    # Only (b,c) edges enter the one final state, so the second track never
+    # reaches it and the answer is no; the sets of triples a subset walk
+    # meets grow with the transformation monoid of the (c, g) letters.
+    rng = random.Random(seed)
+    pa = pair_alphabet(("a", "b", "c"))
+    final = n - 1
+    transitions = set()
+    for q in range(n):
+        for s in pa:
+            r = rng.randrange(n)
+            if r == final and s != ("b", "c"):
+                r = rng.randrange(n - 1)
+            transitions.add((q, s, r))
+    return ShiftInstance(("a", "b"), "c", Nfa(pa, range(n), {0}, {final}, transitions))
+
+
+@pytest.mark.parametrize("n, seed", [(12, 1012), (14, 14)])
+def test_long_shift_cliff_draws_answer_no(n, seed):
+    # The subset walk took seconds on the first draw and did not finish on
+    # the second; the triple walk visits at most n^3 keys.
+    assert accepts_long_shift(shift_cliff_instance(n, seed)).is_no
 
 
 def test_distinct_conjugates_examples():
